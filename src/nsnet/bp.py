@@ -8,16 +8,33 @@ probabilities that the clause is satisfied given the value.
 The update schedule is flooding: every variable-to-clause message is
 recomputed from the previous clause-to-variable messages, then every
 clause-to-variable message from the fresh variable-to-clause ones. Log
-values below the saturation threshold are clamped to a sentinel treated as
-exact zero probability, which keeps the 1 - prod(p) computation free of
-NaN from underflow.
+values below the saturation threshold are clamped to a sentinel
+(``log_zero``) treated as exact zero probability, which keeps the
+1 - prod(p) computation free of NaN from underflow.
+
+Both updates need, for every incidence, a sum over the other incidences of
+its variable (v2c) or of its clause (c2v). The v2c sums are one segment-sum
+pass over the flat incidence arrays: ``np.bincount`` of the variable index
+totals each value column, and the incidence's own entry is subtracted.
+Zero-probability entries are kept out of that arithmetic: a -1e30 in the
+total would absorb the finite part, so a zero entry's own excluded sum
+would come out as 0 instead of the sum of the others. The finite entries
+are summed and the zero entries counted separately, and an excluded sum is
+``log_zero`` exactly when the excluded count is > 0. The rounding error of
+total minus self is an ulp of the total; in the log domain that is a tiny
+relative error of a probability.
+
+The c2v sums feed ln(1 - exp(s)), which turns an absolute error in s near 0
+into a large relative one, so they are summed without subtraction: clauses
+are grouped by length L (incidences are stored clause by clause), and each
+group's (clauses, L) block of log probabilities is multiplied by the
+all-but-self matrix 1 - I_L.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -60,12 +77,6 @@ class BpState:
     trace: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 
-@lru_cache(maxsize=None)
-def _exclusion_matrix(k: int) -> np.ndarray:
-    """(k, k) matrix of ones with a zero diagonal: row j sums all-but-j."""
-    return np.ones((k, k)) - np.eye(k)
-
-
 def _saturate(x: np.ndarray, log_zero: float) -> np.ndarray:
     return np.where(x < SATURATION, log_zero, x)
 
@@ -84,14 +95,28 @@ def _normalize_pairs(raw: np.ndarray, log_zero: float) -> np.ndarray:
     return _saturate(out, log_zero)
 
 
+def _segment_sums(values: np.ndarray, segment: np.ndarray, num_segments: int) -> np.ndarray:
+    """(num_segments, cols) column totals of the rows of ``values`` per
+    segment, one ``np.bincount`` per column."""
+    return np.stack([np.bincount(segment, col, num_segments) for col in values.T], axis=1)
+
+
 def _v2c_update(graph: FactorGraph, c2v: np.ndarray, log_zero: float) -> np.ndarray:
     """Eq-style variable update: sum incoming c2v over all other clauses,
-    then normalize per incidence."""
-    raw = np.zeros_like(c2v)
-    for incs in graph.var_incidences:
-        if len(incs) == 0:
-            continue
-        raw[incs] = _exclusion_matrix(len(incs)) @ c2v[incs]
+    then normalize per incidence.
+
+    The sums are the variable's total minus the incidence's own message,
+    with zero-probability messages counted apart from the finite total: a
+    -1e30 in the total would absorb the finite part and leave a zero
+    entry's own excluded sum at 0. A sum that excludes a zero entry is
+    ``log_zero``.
+    """
+    zero = c2v < SATURATION
+    finite = np.where(zero, 0.0, c2v)
+    seg, num = graph.inc_var, graph.num_vars
+    raw = _segment_sums(finite, seg, num)[seg] - finite
+    zeros = _segment_sums(zero, seg, num)[seg] - zero
+    raw[zeros > 0] = log_zero
     return _normalize_pairs(raw, log_zero)
 
 
@@ -101,21 +126,21 @@ def _c2v_update(graph: FactorGraph, v2c: np.ndarray, log_zero: float) -> np.ndar
     The satisfying branch is 0 (the completions carry total mass 1); the
     dissatisfying branch is ln(1 - prod of the other literals' dissatisfying
     probabilities), saturating to log-zero when that product reaches 1.
+    Unit clauses get the empty sum 0, hence log-zero.
     """
-    E = graph.num_incidences
-    ar = np.arange(E)
-    q = v2c[ar, graph.unsat_value]  # log prob each literal is dissatisfied
-    out = np.zeros_like(v2c)
-    s_excl = np.empty(E)
-    for a in range(graph.num_clauses):
-        lo, hi = graph.clause_start[a], graph.clause_start[a + 1]
-        s_excl[lo:hi] = _exclusion_matrix(hi - lo) @ q[lo:hi]
+    ar = np.arange(graph.num_incidences)
+    unsat_value = graph.unsat_value
+    q = v2c[ar, unsat_value]  # log prob each literal is dissatisfied
+    s_excl = np.empty(graph.num_incidences)
+    lens = graph.clause_len
+    for length in np.unique(lens):
+        slots = graph.clause_start[:-1][lens == length, None] + np.arange(length)
+        s_excl[slots] = q[slots] @ (1.0 - np.eye(length))
     with np.errstate(divide="ignore", invalid="ignore"):
         unsat_msg = np.where(s_excl < 0, np.log1p(-np.exp(s_excl)), -np.inf)
     unsat_msg = np.where(np.isfinite(unsat_msg), unsat_msg, log_zero)
-    unit = graph.clause_len[graph.inc_clause] == 1
-    unsat_msg[unit] = log_zero
-    out[ar, graph.unsat_value] = _saturate(unsat_msg, log_zero)
+    out = np.zeros_like(v2c)
+    out[ar, unsat_value] = _saturate(unsat_msg, log_zero)
     return out
 
 
@@ -191,26 +216,19 @@ def clause_message(
     return result
 
 
-def bp_marginals(state: BpState, graph: FactorGraph) -> np.ndarray:
-    """Variable beliefs b_i(1) from the clause-to-variable messages.
-
-    b_i(x) is proportional to exp of the sum of incoming c2v messages for
-    value x; isolated variables get 0.5.
-    """
-    sums = np.zeros((graph.num_vars, 2))
-    np.add.at(sums, graph.inc_var, state.c2v)
-    shifted = sums - sums.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    p /= p.sum(axis=1, keepdims=True)
-    return p[:, 1]
-
-
 def _variable_log_beliefs(state: BpState, graph: FactorGraph) -> np.ndarray:
-    sums = np.zeros((graph.num_vars, 2))
-    np.add.at(sums, graph.inc_var, state.c2v)
+    """(n, 2) normalized log beliefs ln b_i(x) from the clause-to-variable
+    messages: b_i(x) is proportional to exp of the sum of incoming c2v
+    messages for value x; isolated variables get ln 0.5 for both values."""
+    sums = _segment_sums(state.c2v, graph.inc_var, graph.num_vars)
     shifted = sums - sums.max(axis=1, keepdims=True)
     z = np.log(np.exp(shifted).sum(axis=1))
     return shifted - z[:, None]
+
+
+def bp_marginals(state: BpState, graph: FactorGraph) -> np.ndarray:
+    """Variable beliefs b_i(1); see :func:`_variable_log_beliefs`."""
+    return np.exp(_variable_log_beliefs(state, graph)[:, 1])
 
 
 def factor_log_beliefs(state: BpState, graph: FactorGraph, cap: int) -> np.ndarray:
@@ -222,10 +240,12 @@ def factor_log_beliefs(state: BpState, graph: FactorGraph, cap: int) -> np.ndarr
     the factor vanishes there, so they are simply not enumerated.
     """
     plan = graph.satisfying_enumeration(cap)
-    rows = np.zeros(plan.num_rows)
-    np.add.at(rows, plan.flat_row, state.v2c[plan.flat_slot, plan.flat_value])
     if plan.num_rows == 0:
-        return rows
+        return np.zeros(0)
+    # each row's flat entries are one contiguous run of its clause's length
+    row_len = graph.clause_len[plan.row_clause]
+    flat_start = np.cumsum(row_len) - row_len
+    rows = np.add.reduceat(state.v2c[plan.flat_slot, plan.flat_value], flat_start)
     zmax = np.maximum.reduceat(rows, plan.row_start[:-1])
     sums = np.add.reduceat(np.exp(rows - zmax[plan.row_clause]), plan.row_start[:-1])
     z = zmax + np.log(sums)

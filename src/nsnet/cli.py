@@ -301,22 +301,16 @@ def cmd_solve(args) -> int:
 
 # ----------------------------------------------------------------- eval
 
-def _count_estimator(args):
-    if args.estimator == "bp":
-        def run(graph):
-            state = bp.bp_run(graph, bp.BpConfig(max_iters=args.iters))
-            return bp.bethe_ln_z(state, graph)
-        return run
-    params = _load_model(args.model if args.estimator == "model" else "reduction")
-
-    def run(graph):
-        return net.forward(graph, params, args.iters, with_count=True).ln_z
-
-    return run
+def _estimate_ln_z(graph, params: net.ModelParams | None, iters: int) -> float:
+    """Bethe ln Z of plain BP when ``params`` is None, else NSNet's ln Z."""
+    if params is None:
+        state = bp.bp_run(graph, bp.BpConfig(max_iters=iters))
+        return bp.bethe_ln_z(state, graph)
+    return net.forward(graph, params, iters, with_count=True).ln_z
 
 
 def _eval_count_row(task_args):
-    data_dir, labels_dir, name, args = task_args
+    data_dir, labels_dir, name, params, args = task_args
     formula = _load_formula(os.path.join(data_dir, name))
     with open(_label_path(labels_dir, name)) as fh:
         truth = json.load(fh).get("ln_count")
@@ -326,7 +320,7 @@ def _eval_count_row(task_args):
         return row, math.nan
     started = time.perf_counter()
     try:
-        pred = _count_estimator(args)(build_factor_graph(formula))
+        pred = _estimate_ln_z(build_factor_graph(formula), params, args.iters)
     except Exception as exc:
         row["error"] = str(exc)
         return row, math.nan
@@ -352,7 +346,12 @@ def cmd_eval_count(args) -> int:
         raise RuntimeError("eval --task counting requires --labels")
     if args.estimator == "model" and not args.model:
         raise RuntimeError("--estimator model requires --model WEIGHTS")
-    tasks = [(args.data, args.labels, name, args) for name in names]
+    # the weights are loaded once and travel with each task, so worker
+    # processes never read the weight file
+    params = None
+    if args.estimator != "bp":
+        params = _load_model(args.model if args.estimator == "model" else "reduction")
+    tasks = [(args.data, args.labels, name, params, args) for name in names]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_eval_count_row, tasks))
@@ -420,9 +419,7 @@ def _eval_solve_row(task_args):
             first_rng = np.random.Generator(np.random.Philox(key=seed))
             first = tuple(int(x) for x in first_rng.integers(0, 2, formula.num_vars))
         init_solved.append(bool(evaluate(formula, first)))
-        result = search.sls_solve(
-            formula, config, initial=first if guided is not None else None
-        )
+        result = search.sls_solve(formula, config, initial=first)
         solved.append(result.solved)
         flips.append(result.flips_total)
     row["init_solved"] = init_solved

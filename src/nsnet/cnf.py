@@ -148,13 +148,6 @@ def parse_dimacs(text: str | bytes) -> tuple[CnfFormula, list[str]]:
     return formula, warnings
 
 
-def parse_dimacs_file(path) -> CnfFormula:
-    """Parse a DIMACS file, discarding warnings. Convenience wrapper."""
-    with open(path, "rb") as fh:
-        formula, _ = parse_dimacs(fh.read())
-    return formula
-
-
 def emit_dimacs(formula: CnfFormula) -> str:
     """Serialize to DIMACS text; ``parse_dimacs`` round-trips it exactly."""
     lines = [f"p cnf {formula.num_vars} {formula.num_clauses}"]

@@ -85,36 +85,29 @@ class FactorGraph:
             raise ValueError(
                 f"clause length {int(lens.max())} exceeds enumeration cap {cap}"
             )
-        row_clause: list[int] = []
-        flat_row: list[int] = []
-        flat_slot: list[int] = []
-        flat_value: list[int] = []
-        row_start = [0]
-        r = 0
-        for a in range(self.num_clauses):
-            lo, hi = int(self.clause_start[a]), int(self.clause_start[a + 1])
-            slots = range(lo, hi)
-            length = hi - lo
-            unsat_code = 0
-            for j, e in enumerate(slots):
-                unsat_code |= int(1 - self.sat_value[e]) << j
-            for code in range(1 << length):
-                if code == unsat_code:
-                    continue
-                row_clause.append(a)
-                for j, e in enumerate(slots):
-                    flat_row.append(r)
-                    flat_slot.append(e)
-                    flat_value.append((code >> j) & 1)
-                r += 1
-            row_start.append(r)
+        # rows are listed clause by clause, the flat entries of a row position
+        # by position; the k-th satisfying code of a clause is k, or k + 1 from
+        # its all-dissatisfying code on
+        num_codes = (np.int64(1) << lens) - 1
+        row_start = np.concatenate(([0], np.cumsum(num_codes)))
+        row_clause = np.repeat(np.arange(self.num_clauses), num_codes)
+        row_len = lens[row_clause]
+        flat_row = np.repeat(np.arange(len(row_clause)), row_len)
+        flat_clause = np.repeat(row_clause, row_len)
+        bit = np.arange(len(flat_row)) - np.repeat(np.cumsum(row_len) - row_len, row_len)
+        position = np.arange(self.num_incidences) - self.clause_start[self.inc_clause]
+        unsat_code = np.bincount(
+            self.inc_clause, self.unsat_value << position, self.num_clauses
+        ).astype(np.int64)
+        code = flat_row - row_start[flat_clause]
+        code += code >= unsat_code[flat_clause]
         plan = EnumPlan(
-            num_rows=r,
-            row_clause=np.asarray(row_clause, dtype=np.int64),
-            row_start=np.asarray(row_start, dtype=np.int64),
-            flat_row=np.asarray(flat_row, dtype=np.int64),
-            flat_slot=np.asarray(flat_slot, dtype=np.int64),
-            flat_value=np.asarray(flat_value, dtype=np.int64),
+            num_rows=len(row_clause),
+            row_clause=row_clause,
+            row_start=row_start,
+            flat_row=flat_row,
+            flat_slot=self.clause_start[flat_clause] + bit,
+            flat_value=(code >> bit) & 1,
         )
         self._enum_cache[cap] = plan
         return plan

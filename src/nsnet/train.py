@@ -16,7 +16,7 @@ import numpy as np
 
 from . import net
 from .cnf import CnfFormula
-from .graph import DEFAULT_FACTOR_ENUM_CAP, EnumPlan, FactorGraph, build_factor_graph
+from .graph import DEFAULT_FACTOR_ENUM_CAP, FactorGraph, build_factor_graph
 
 LOG_PRED_FLOOR = math.log(1e-12)
 
@@ -114,11 +114,10 @@ def mse_lnz_loss(pred_ln_z: float, true_ln_z: float) -> float:
 
 
 def _merge_graphs(
-    graphs: list[FactorGraph], cap: int | None
+    graphs: list[FactorGraph],
 ) -> tuple[FactorGraph, np.ndarray, np.ndarray]:
     """Disjoint union of factor graphs plus per-variable / per-clause
-    instance ids. The merged enumeration plan is assembled from the parts
-    (no re-enumeration) and pre-seeded into the merged graph's cache."""
+    instance ids."""
     inc_var, inc_clause, sat_value, var_incs = [], [], [], []
     clause_start = [np.zeros(1, dtype=np.int64)]
     var_inst, clause_inst = [], []
@@ -143,30 +142,6 @@ def _merge_graphs(
         clause_start=np.concatenate(clause_start),
         var_incidences=tuple(var_incs),
     )
-    if cap is not None:
-        plans = [g.satisfying_enumeration(cap) for g in graphs]
-        r_off = f_off = m_off2 = 0
-        row_clause, row_start, flat_row, flat_slot, flat_value = (
-            [], [np.zeros(1, dtype=np.int64)], [], [], [])
-        e_off = 0
-        for g, plan in zip(graphs, plans):
-            row_clause.append(plan.row_clause + m_off2)
-            row_start.append(plan.row_start[1:] + r_off)
-            flat_row.append(plan.flat_row + r_off)
-            flat_slot.append(plan.flat_slot + e_off)
-            flat_value.append(plan.flat_value)
-            r_off += plan.num_rows
-            m_off2 += g.num_clauses
-            e_off += g.num_incidences
-            f_off += len(plan.flat_row)
-        merged._enum_cache[cap] = EnumPlan(
-            num_rows=r_off,
-            row_clause=np.concatenate(row_clause),
-            row_start=np.concatenate(row_start),
-            flat_row=np.concatenate(flat_row),
-            flat_slot=np.concatenate(flat_slot),
-            flat_value=np.concatenate(flat_value),
-        )
     return merged, np.concatenate(var_inst), np.concatenate(clause_inst)
 
 
@@ -175,9 +150,7 @@ def _batch_forward(
 ):
     graphs = [inst.factor_graph() for inst in batch]
     want_count = config.task == "counting"
-    merged, var_inst, clause_inst = _merge_graphs(
-        graphs, config.factor_cap if want_count else None
-    )
+    merged, var_inst, clause_inst = _merge_graphs(graphs)
     tape = net._forward(
         merged, params, config.T, want_count=want_count,
         factor_cap=config.factor_cap, var_inst=var_inst, clause_inst=clause_inst,

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from nsnet import bp
 from nsnet.cnf import CnfFormula
 
 # the running example: (x1 or not x2) and (x1 or x3) and (not x1 or x2 or x3)
@@ -153,3 +154,86 @@ def brute_satisfying_lse(graph, v2c, e_target, value):
     stacked = np.stack(rows)
     top = stacked.max(axis=0)
     return top + np.log(np.exp(stacked - top).sum(axis=0))
+
+
+# ---------------------------------------------------------------- looped BP
+# Direct per-variable / per-clause loops over the factor graph, kept as
+# references for the segment-sum updates and the vectorized enumeration plan.
+
+
+def _exclusion_matrix(k):
+    """(k, k) matrix of ones with a zero diagonal: row j sums all-but-j."""
+    return np.ones((k, k)) - np.eye(k)
+
+
+def looped_v2c_update(graph, c2v, log_zero):
+    """Variable update with one all-but-self matmul per variable."""
+    raw = np.zeros_like(c2v)
+    for i in range(graph.num_vars):
+        incs = np.flatnonzero(graph.inc_var == i)
+        if len(incs):
+            raw[incs] = _exclusion_matrix(len(incs)) @ c2v[incs]
+    return bp._normalize_pairs(raw, log_zero)
+
+
+def looped_c2v_update(graph, v2c, log_zero):
+    """Clause update with one all-but-self matmul per clause."""
+    E = graph.num_incidences
+    ar = np.arange(E)
+    q = v2c[ar, graph.unsat_value]
+    out = np.zeros_like(v2c)
+    s_excl = np.empty(E)
+    for a in range(graph.num_clauses):
+        lo, hi = graph.clause_start[a], graph.clause_start[a + 1]
+        s_excl[lo:hi] = _exclusion_matrix(hi - lo) @ q[lo:hi]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unsat_msg = np.where(s_excl < 0, np.log1p(-np.exp(s_excl)), -np.inf)
+    unsat_msg = np.where(np.isfinite(unsat_msg), unsat_msg, log_zero)
+    unsat_msg[graph.clause_len[graph.inc_clause] == 1] = log_zero
+    out[ar, graph.unsat_value] = bp._saturate(unsat_msg, log_zero)
+    return out
+
+
+def looped_bp_run(graph, config, initial=None):
+    """``bp_run`` with its message updates swapped for the looped ones."""
+    saved = bp._v2c_update, bp._c2v_update
+    bp._v2c_update, bp._c2v_update = looped_v2c_update, looped_c2v_update
+    try:
+        return bp.bp_run(graph, config, initial)
+    finally:
+        bp._v2c_update, bp._c2v_update = saved
+
+
+def looped_enumeration(graph, cap):
+    """Satisfying-assignment plan by a triple loop over clauses, codes and
+    positions; returns the EnumPlan fields as a dict."""
+    lens = graph.clause_len
+    if len(lens) and int(lens.max()) > cap:
+        raise ValueError(f"clause length {int(lens.max())} exceeds enumeration cap {cap}")
+    row_clause, flat_row, flat_slot, flat_value = [], [], [], []
+    row_start = [0]
+    r = 0
+    for a in range(graph.num_clauses):
+        lo, hi = int(graph.clause_start[a]), int(graph.clause_start[a + 1])
+        slots = range(lo, hi)
+        unsat_code = 0
+        for j, e in enumerate(slots):
+            unsat_code |= int(1 - graph.sat_value[e]) << j
+        for code in range(1 << (hi - lo)):
+            if code == unsat_code:
+                continue
+            row_clause.append(a)
+            for j, e in enumerate(slots):
+                flat_row.append(r)
+                flat_slot.append(e)
+                flat_value.append((code >> j) & 1)
+            r += 1
+        row_start.append(r)
+    fields = {
+        "row_clause": row_clause,
+        "row_start": row_start,
+        "flat_row": flat_row,
+        "flat_slot": flat_slot,
+        "flat_value": flat_value,
+    }
+    return {"num_rows": r, **{k: np.asarray(v, dtype=np.int64) for k, v in fields.items()}}

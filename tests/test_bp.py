@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from nsnet import oracle
+from nsnet import bp, oracle
 from nsnet.bp import (
     LOG_ZERO,
     BpConfig,
@@ -205,3 +205,70 @@ class TestDynamics:
         assert state.converged
         assert np.allclose(bp_marginals(state, graph), 0.5)
         assert bethe_ln_z(state, graph) == pytest.approx(3 * math.log(2), abs=1e-12)
+
+
+class TestSegmentSumUpdates:
+    """The vectorized updates against the looped all-but-self matmuls."""
+
+    @staticmethod
+    def formulas(rng, count):
+        for _ in range(count):
+            n = int(rng.integers(2, 10))
+            base = helpers.random_formula(rng, n, int(rng.integers(1, 3 * n)))
+            clauses = list(base.clauses)
+            if rng.random() < 0.5:  # contradictory unit pair
+                v = int(rng.integers(1, n + 1))
+                clauses += [(v,), (-v,)]
+            # two extra variables no clause mentions
+            yield CnfFormula(n + 2, tuple(clauses))
+
+    def test_marginals_and_messages_match_looped_reference(self):
+        rng = np.random.default_rng(2024)
+        converged = 0
+        for formula in self.formulas(rng, 150):
+            graph = build_factor_graph(formula)
+            config = BpConfig(
+                max_iters=int(rng.integers(1, 60)),
+                convergence_eps=1e-12,
+                damping=float(rng.choice([0.0, 0.3, 0.6])),
+            )
+            got = bp_run(graph, config)
+            ref = helpers.looped_bp_run(graph, config)
+            assert (got.iterations_run, got.converged) == (ref.iterations_run, ref.converged)
+            assert np.abs(bp_marginals(got, graph) - bp_marginals(ref, graph)).max() <= 1e-12
+            if ref.converged:
+                # messages of a run still moving are compared through the
+                # marginals only: near-saturated pairs are ill-conditioned in
+                # the log domain
+                converged += 1
+                assert np.abs(got.v2c - ref.v2c).max() <= 1e-9
+                assert np.abs(got.c2v - ref.c2v).max() <= 1e-9
+        assert converged >= 50
+
+    def test_log_zero_entry_excludes_only_itself(self):
+        # variable 1 gets a log-zero message for value 0 from the unit clause;
+        # its value-0 message to that clause must still carry the ln 0.5 from
+        # the other clause, not come out as 0
+        graph = build_factor_graph(CnfFormula(2, ((1,), (1, 2))))
+        config = BpConfig(max_iters=3, convergence_eps=1e-300)
+        got = bp_run(graph, config)
+        ref = helpers.looped_bp_run(graph, config)
+        assert np.array_equal(got.v2c == LOG_ZERO, ref.v2c == LOG_ZERO)
+        assert np.abs(got.v2c - ref.v2c).max() <= 1e-12
+        assert np.abs(got.c2v - ref.c2v).max() <= 1e-12
+
+    def test_clause_sums_exact_beside_a_near_saturated_literal(self):
+        # in each clause literal 1 is all but surely dissatisfied (ln q = -600)
+        # and the others all but surely satisfied (ln q = -1e-12): the
+        # message to literal 1 needs the others' tiny sum exactly, since
+        # ln(1 - exp(s)) magnifies an error of s near 0 by 1/|s|
+        graph = build_factor_graph(CnfFormula(5, ((1, 2), (3, -4, 5))))
+        q = np.array([-600.0, -1e-12, -600.0, -1e-12, -1e-12])
+        v2c = np.empty((graph.num_incidences, 2))
+        ar = np.arange(graph.num_incidences)
+        v2c[ar, graph.unsat_value] = q
+        v2c[ar, graph.sat_value] = np.log(-np.expm1(q))
+        got = bp._c2v_update(graph, v2c, LOG_ZERO)
+        ref = helpers.looped_c2v_update(graph, v2c, LOG_ZERO)
+        assert got[0, 0] < -27.0  # ln(1 - exp(-1e-12)) is about -27.6
+        assert np.abs(got - ref).max() <= 1e-9

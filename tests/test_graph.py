@@ -131,3 +131,39 @@ class TestEnumerationPlan:
             "2 0 1 sat",
             "2 1 1 unsat",
         ]
+
+    def test_plan_equals_looped_reference(self):
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            n = int(rng.integers(10, 14))
+            m = int(rng.integers(0, 8))
+            f = helpers.random_formula(rng, n, m, min_len=1, max_len=10)
+            g = build_factor_graph(f)
+            ref = helpers.looped_enumeration(g, 10)
+            plan = g.satisfying_enumeration(10)
+            assert plan.num_rows == ref["num_rows"]
+            for name, expected in ref.items():
+                if name == "num_rows":
+                    continue
+                got = getattr(plan, name)
+                assert got.dtype == expected.dtype, name
+                assert np.array_equal(got, expected), name
+
+    def test_every_length_and_polarity(self):
+        for length in range(1, 11):
+            for signs in (0, (1 << length) - 1, 0b0110100101 & ((1 << length) - 1)):
+                clause = tuple(v if (signs >> (v - 1)) & 1 else -v for v in range(1, length + 1))
+                g = build_factor_graph(CnfFormula(length, (clause,)))
+                ref = helpers.looped_enumeration(g, 10)
+                plan = g.satisfying_enumeration(10)
+                for name in ("row_clause", "row_start", "flat_row", "flat_slot", "flat_value"):
+                    assert np.array_equal(getattr(plan, name), ref[name]), (length, name)
+
+    def test_over_cap_raises_like_reference(self):
+        f = CnfFormula(5, ((1, -2), (1, 2, -3, 4, 5)))
+        g = build_factor_graph(f)
+        for cap in (1, 4):
+            with pytest.raises(ValueError):
+                helpers.looped_enumeration(g, cap)
+            with pytest.raises(ValueError):
+                g.satisfying_enumeration(cap)

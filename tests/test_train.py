@@ -307,3 +307,32 @@ class TestBatchLoss:
         assert batch_loss([inst], params, config) == pytest.approx(
             kl_loss(out.marginals, inst.marginals), abs=1e-12
         )
+
+
+class TestMergedGraph:
+    def test_merged_plan_is_concatenation_of_offset_plans(self):
+        from nsnet.graph import build_factor_graph
+        from nsnet.train import _merge_graphs
+
+        rng = np.random.default_rng(12)
+        graphs = [
+            build_factor_graph(helpers.random_formula(rng, n, m, min_len=1, max_len=5))
+            for n, m in ((6, 9), (3, 0), (8, 14), (5, 7))
+        ]
+        merged, _, _ = _merge_graphs(graphs)
+        plan = merged.satisfying_enumeration(10)
+        parts = [g.satisfying_enumeration(10) for g in graphs]
+        m_off = np.cumsum([0] + [g.num_clauses for g in graphs])
+        e_off = np.cumsum([0] + [g.num_incidences for g in graphs])
+        r_off = np.cumsum([0] + [p.num_rows for p in parts])
+        expected = {
+            "row_clause": [p.row_clause + m_off[i] for i, p in enumerate(parts)],
+            "row_start": [np.zeros(1, dtype=np.int64)]
+            + [p.row_start[1:] + r_off[i] for i, p in enumerate(parts)],
+            "flat_row": [p.flat_row + r_off[i] for i, p in enumerate(parts)],
+            "flat_slot": [p.flat_slot + e_off[i] for i, p in enumerate(parts)],
+            "flat_value": [p.flat_value for p in parts],
+        }
+        assert plan.num_rows == r_off[-1]
+        for name, pieces in expected.items():
+            assert np.array_equal(getattr(plan, name), np.concatenate(pieces)), name
