@@ -9,7 +9,7 @@ search, and decimation.
 from .cnf import CnfFormula, DimacsError, emit_dimacs, evaluate, normalize, parse_dimacs, simplify
 from .graph import FactorGraph, build_factor_graph
 from .oracle import ExactResult, enumerate_models, exact_count, exact_marginals, satisfiable
-from .bp import BpConfig, BpState, bethe_ln_z, bp_marginals, bp_run, clause_message
+from .bp import BpConfig, BpState, bethe_ln_z, bp_marginals, bp_run
 from .net import (
     ModelParams,
     NsnetOutput,
@@ -28,7 +28,7 @@ __all__ = [
     "normalize", "simplify",
     "FactorGraph", "build_factor_graph",
     "ExactResult", "enumerate_models", "exact_count", "exact_marginals", "satisfiable",
-    "BpConfig", "BpState", "bp_run", "bp_marginals", "bethe_ln_z", "clause_message",
+    "BpConfig", "BpState", "bp_run", "bp_marginals", "bethe_ln_z",
     "ModelParams", "NsnetOutput", "init_params", "bp_reduction_params", "forward",
     "save_params", "load_params",
     "TrainConfig", "LabeledInstance", "kl_loss", "mse_lnz_loss", "grad", "adam_step",

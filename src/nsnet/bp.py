@@ -12,34 +12,22 @@ values below the saturation threshold are clamped to a sentinel
 (``log_zero``) treated as exact zero probability, which keeps the
 1 - prod(p) computation free of NaN from underflow.
 
-Both updates need, for every incidence, a sum over the other incidences of
-its variable (v2c) or of its clause (c2v). The v2c sums are one segment-sum
-pass over the flat incidence arrays: ``np.bincount`` of the variable index
-totals each value column, and the incidence's own entry is subtracted.
-Zero-probability entries are kept out of that arithmetic: a -1e30 in the
-total would absorb the finite part, so a zero entry's own excluded sum
-would come out as 0 instead of the sum of the others. The finite entries
-are summed and the zero entries counted separately, and an excluded sum is
-``log_zero`` exactly when the excluded count is > 0. The rounding error of
-total minus self is an ulp of the total; in the log domain that is a tiny
-relative error of a probability.
-
-The c2v sums feed ln(1 - exp(s)), which turns an absolute error in s near 0
-into a large relative one, so they are summed without subtraction: clauses
-are grouped by length L (incidences are stored clause by clause), and each
-group's (clauses, L) block of log probabilities is multiplied by the
-all-but-self matrix 1 - I_L.
+Both updates are closed forms on top of the factor graph's shared
+reductions (see :mod:`nsnet.graph`): v2c is the sum over the variable's
+other clauses, normalized; c2v is ln(1 - exp(s)) of the clause's other
+literals' summed dissatisfying log probabilities s. The readouts (marginals
+and the Bethe ln Z) are the graph's variable sums, per-clause normalization
+and Bethe sum, the same functions the neural model's readouts call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .graph import DEFAULT_FACTOR_ENUM_CAP, FactorGraph
+from .graph import DEFAULT_FACTOR_ENUM_CAP, FactorGraph, bethe_sum, log1mexp
 
 LOG_ZERO = -1e30
 SATURATION = -700.0
@@ -95,12 +83,6 @@ def _normalize_pairs(raw: np.ndarray, log_zero: float) -> np.ndarray:
     return _saturate(out, log_zero)
 
 
-def _segment_sums(values: np.ndarray, segment: np.ndarray, num_segments: int) -> np.ndarray:
-    """(num_segments, cols) column totals of the rows of ``values`` per
-    segment, one ``np.bincount`` per column."""
-    return np.stack([np.bincount(segment, col, num_segments) for col in values.T], axis=1)
-
-
 def _v2c_update(graph: FactorGraph, c2v: np.ndarray, log_zero: float) -> np.ndarray:
     """Eq-style variable update: sum incoming c2v over all other clauses,
     then normalize per incidence.
@@ -112,11 +94,8 @@ def _v2c_update(graph: FactorGraph, c2v: np.ndarray, log_zero: float) -> np.ndar
     ``log_zero``.
     """
     zero = c2v < SATURATION
-    finite = np.where(zero, 0.0, c2v)
-    seg, num = graph.inc_var, graph.num_vars
-    raw = _segment_sums(finite, seg, num)[seg] - finite
-    zeros = _segment_sums(zero, seg, num)[seg] - zero
-    raw[zeros > 0] = log_zero
+    raw = graph.var_others_sum(np.where(zero, 0.0, c2v))
+    raw[graph.var_others_sum(zero.astype(c2v.dtype)) > 0] = log_zero
     return _normalize_pairs(raw, log_zero)
 
 
@@ -131,14 +110,9 @@ def _c2v_update(graph: FactorGraph, v2c: np.ndarray, log_zero: float) -> np.ndar
     ar = np.arange(graph.num_incidences)
     unsat_value = graph.unsat_value
     q = v2c[ar, unsat_value]  # log prob each literal is dissatisfied
-    s_excl = np.empty(graph.num_incidences)
-    lens = graph.clause_len
-    for length in np.unique(lens):
-        slots = graph.clause_start[:-1][lens == length, None] + np.arange(length)
-        s_excl[slots] = q[slots] @ (1.0 - np.eye(length))
+    s_excl = graph.clause_others_sum(q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        unsat_msg = np.where(s_excl < 0, np.log1p(-np.exp(s_excl)), -np.inf)
-    unsat_msg = np.where(np.isfinite(unsat_msg), unsat_msg, log_zero)
+        unsat_msg = np.where(s_excl < 0, log1mexp(s_excl), log_zero)
     out = np.zeros_like(v2c)
     out[ar, unsat_value] = _saturate(unsat_msg, log_zero)
     return out
@@ -190,40 +164,12 @@ def bp_run(
     return BpState(v2c, c2v, converged, iterations, trace)
 
 
-def clause_message(
-    others: Sequence[tuple[float, float]], satisfying: bool
-) -> float:
-    """Closed-form clause-to-variable message for one branch.
-
-    ``others`` holds one normalized ``(log_sat, log_unsat)`` pair per other
-    variable in the clause. The satisfying branch is exactly 0; the
-    dissatisfying branch is ln(1 - prod exp(log_unsat)), which is the
-    log-sum-exp over the satisfying completions.
-    """
-    for pair in others:
-        if abs(np.logaddexp(pair[0], pair[1])) > 1e-9:
-            raise ValueError(f"incoming pair {pair} is not normalized")
-    if satisfying:
-        return 0.0
-    if not others:
-        return LOG_ZERO  # unit clause: no satisfying completion exists
-    s = float(sum(pair[1] for pair in others))
-    if s >= 0.0:
-        return LOG_ZERO
-    result = math.log1p(-math.exp(s)) if s > SATURATION else 0.0
-    if not math.isfinite(result) or result < SATURATION:
-        return LOG_ZERO
-    return result
-
-
 def _variable_log_beliefs(state: BpState, graph: FactorGraph) -> np.ndarray:
     """(n, 2) normalized log beliefs ln b_i(x) from the clause-to-variable
     messages: b_i(x) is proportional to exp of the sum of incoming c2v
     messages for value x; isolated variables get ln 0.5 for both values."""
-    sums = _segment_sums(state.c2v, graph.inc_var, graph.num_vars)
-    shifted = sums - sums.max(axis=1, keepdims=True)
-    z = np.log(np.exp(shifted).sum(axis=1))
-    return shifted - z[:, None]
+    sums = graph.var_sum(state.c2v)
+    return sums - np.logaddexp(sums[:, 0], sums[:, 1])[:, None]
 
 
 def bp_marginals(state: BpState, graph: FactorGraph) -> np.ndarray:
@@ -231,39 +177,12 @@ def bp_marginals(state: BpState, graph: FactorGraph) -> np.ndarray:
     return np.exp(_variable_log_beliefs(state, graph)[:, 1])
 
 
-def factor_log_beliefs(state: BpState, graph: FactorGraph, cap: int) -> np.ndarray:
-    """Normalized log beliefs over each clause's satisfying assignments.
-
-    Returns one value per enumeration row (see
-    :meth:`FactorGraph.satisfying_enumeration`); the exp values of each
-    clause's rows sum to 1. Unsatisfying assignments carry zero belief since
-    the factor vanishes there, so they are simply not enumerated.
-    """
-    plan = graph.satisfying_enumeration(cap)
-    if plan.num_rows == 0:
-        return np.zeros(0)
-    # each row's flat entries are one contiguous run of its clause's length
-    row_len = graph.clause_len[plan.row_clause]
-    flat_start = np.cumsum(row_len) - row_len
-    rows = np.add.reduceat(state.v2c[plan.flat_slot, plan.flat_value], flat_start)
-    zmax = np.maximum.reduceat(rows, plan.row_start[:-1])
-    sums = np.add.reduceat(np.exp(rows - zmax[plan.row_clause]), plan.row_start[:-1])
-    z = zmax + np.log(sums)
-    return rows - z[plan.row_clause]
-
-
 def bethe_ln_z(
     state: BpState, graph: FactorGraph, factor_enum_cap: int = DEFAULT_FACTOR_ENUM_CAP
 ) -> float:
-    """Bethe estimate of ln Z from the current beliefs.
-
-    ln Z = -sum_a sum_{x_a} b_a ln b_a + sum_i (|N(i)|-1) sum_x b_i ln b_i,
-    with the factor sum running over satisfying assignments only (the belief
-    vanishes elsewhere, with the 0 ln 0 = 0 convention). Exact on trees.
-    """
-    lb_fac = factor_log_beliefs(state, graph, factor_enum_cap)
-    factor_term = -float(np.sum(np.exp(lb_fac) * lb_fac))
-    lb_var = _variable_log_beliefs(state, graph)
-    weights = graph.var_degree - 1
-    var_term = float(np.sum(weights * np.sum(np.exp(lb_var) * lb_var, axis=1)))
-    return factor_term + var_term
+    """Bethe estimate of ln Z (see :func:`nsnet.graph.bethe_sum`), with
+    factor beliefs the normalized products of each clause's incoming v2c
+    messages over its satisfying assignments. Exact on trees."""
+    plan = graph.satisfying_enumeration(factor_enum_cap)
+    lbf = plan.log_normalize(plan.row_sums(state.v2c))
+    return float(bethe_sum(graph, plan, lbf, _variable_log_beliefs(state, graph))[0])

@@ -254,36 +254,43 @@ def cmd_train(args) -> int:
 
 # ----------------------------------------------------------------- solve
 
-def _initial_assignment(formula, args) -> tuple[int, ...] | None:
-    if args.init == "random":
+def _initial_assignment(formula, init: str, iters: int, params=None, labels=None):
+    """WalkSAT's first assignment, rounded from marginals: None for
+    ``random``; BP's or the model's (``params``) after ``iters`` iterations;
+    or those in the marginal file at ``labels``."""
+    if init == "random":
         return None
-    if args.init == "bp":
-        graph = build_factor_graph(formula)
-        state = bp.bp_run(graph, bp.BpConfig(max_iters=args.iters))
-        marginals = bp.bp_marginals(state, graph)
-    elif args.init == "model":
-        if not args.model:
-            raise RuntimeError("--init model requires --model WEIGHTS")
-        graph = build_factor_graph(formula)
-        params = _load_model(args.model)
-        marginals = net.forward(graph, params, args.iters, with_count=False).marginals
-    else:  # file
-        if not args.labels:
-            raise RuntimeError("--init file requires --labels with marginal files")
-        path = args.labels
-        if os.path.isdir(path):
-            path = _label_path(path, os.path.basename(args.input))
-        with open(path) as fh:
+    if init == "file":
+        with open(labels) as fh:
             doc = json.load(fh)
         marginals = np.array(
             [doc["marginals"][str(v)] for v in range(1, formula.num_vars + 1)]
         )
+    elif init == "bp":
+        graph = build_factor_graph(formula)
+        marginals = bp.bp_marginals(bp.bp_run(graph, bp.BpConfig(max_iters=iters)), graph)
+    else:
+        graph = build_factor_graph(formula)
+        marginals = net.forward(graph, params, iters, with_count=False).marginals
     return search.round_marginals(marginals)
 
 
+def _init_params(args) -> net.ModelParams | None:
+    """Checks the --init flags; the model weights for ``--init model``."""
+    if args.init == "file" and not args.labels:
+        raise RuntimeError("--init file requires --labels with marginal files")
+    if args.init == "model" and not args.model:
+        raise RuntimeError("--init model requires --model WEIGHTS")
+    return _load_model(args.model) if args.init == "model" else None
+
+
 def cmd_solve(args) -> int:
+    params = _init_params(args)
     formula = _load_formula(args.input)
-    initial = _initial_assignment(formula, args)
+    labels = args.labels
+    if labels and os.path.isdir(labels):
+        labels = _label_path(labels, os.path.basename(args.input))
+    initial = _initial_assignment(formula, args.init, args.iters, params, labels)
     config = search.SlsConfig(
         max_tries=args.tries, max_flips=args.max_flips, noise=args.noise, seed=args.seed
     )
@@ -380,34 +387,16 @@ def cmd_eval_count(args) -> int:
     return EXIT_OK
 
 
-def _solve_marginals(formula, name, args):
-    if args.init == "file":
-        with open(_label_path(args.labels, name)) as fh:
-            doc = json.load(fh)
-        return np.array(
-            [doc["marginals"][str(v)] for v in range(1, formula.num_vars + 1)]
-        )
-    if args.init == "bp":
-        graph = build_factor_graph(formula)
-        state = bp.bp_run(graph, bp.BpConfig(max_iters=args.iters))
-        return bp.bp_marginals(state, graph)
-    if args.init == "model":
-        graph = build_factor_graph(formula)
-        params = _load_model(args.model)
-        return net.forward(graph, params, args.iters, with_count=False).marginals
-    return None  # random
-
-
 def _eval_solve_row(task_args):
-    data_dir, name, seeds, args = task_args
+    data_dir, name, seeds, params, args = task_args
     formula = _load_formula(os.path.join(data_dir, name))
     row: dict = {"id": name[:-4]}
     sat = oracle.satisfiable(formula)
     row["satisfiable"] = sat
     if not sat:
         return row
-    marginals = _solve_marginals(formula, name, args)
-    guided = search.round_marginals(marginals) if marginals is not None else None
+    labels = _label_path(args.labels, name) if args.init == "file" else None
+    guided = _initial_assignment(formula, args.init, args.iters, params, labels)
     init_solved, solved, flips = [], [], []
     for k, seed in enumerate(seeds):
         config = search.SlsConfig(
@@ -438,10 +427,10 @@ def _mean_std(values) -> dict:
 
 def cmd_eval_solve(args) -> int:
     names = _dataset_files(args.data)
-    if args.init == "file" and not args.labels:
-        raise RuntimeError("--init file requires --labels")
+    # as in cmd_eval_count, the weights are loaded once and travel with each task
+    params = _init_params(args)
     seeds = [gen.derive_seed(args.seed, k) for k in range(args.repeats)]
-    tasks = [(args.data, name, seeds, args) for name in names]
+    tasks = [(args.data, name, seeds, params, args) for name in names]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_eval_solve_row, tasks))

@@ -12,9 +12,12 @@ is recovered exactly by :func:`bp_reduction_params`.
 The satisfying-completion LSE is computed by a factorized identity instead
 of enumeration: for a satisfying branch the product set is complete, so the
 LSE decomposes into a per-variable sum of pair-LSEs; for a dissatisfying
-branch the single all-dissatisfying completion is removed in log space via
-log1p(-exp(delta)). The factorization is exact per coordinate and reduces
-the cost from O(2^L) to O(L); tests hold it to brute-force enumeration.
+branch the single all-dissatisfying completion is removed in log space,
+ln(1 - exp(delta)) added to the complete set's LSE. The factorization is
+exact per coordinate and reduces the cost from O(2^L) to O(L); tests hold
+it to brute-force enumeration. Every sum over incidences, and the readouts'
+per-clause normalization and Bethe sum, are the factor graph's shared
+reductions (see :mod:`nsnet.graph`), the ones belief propagation runs.
 """
 
 from __future__ import annotations
@@ -25,13 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DEFAULT_FACTOR_ENUM_CAP, EnumPlan, FactorGraph
+from .graph import DEFAULT_FACTOR_ENUM_CAP, EnumPlan, FactorGraph, bethe_sum, log1mexp
 
 # dissatisfying branch of a unit clause: no satisfying completion exists;
 # a constant floor plays the role of BP's log-zero at embedding scale
 UNIT_FLOOR = -30.0
 
-# clamp for the log1p(-exp(delta)) path; the clamped branch passes no gradient
+# clamp for ln(1 - exp(delta)); the clamped branch passes no gradient
 DELTA_CLAMP = -1e-12
 
 DEFAULT_HIDDEN = 64
@@ -286,30 +289,23 @@ def satisfying_lse(graph: FactorGraph, v2c: np.ndarray):
     For the satisfying branch of slot (e, x) the completion set is the full
     product set over the other variables, so the LSE is the sum of their
     pair-LSEs; for the dissatisfying branch the all-dissatisfying completion
-    is removed via log1p(-exp(delta)). The dissatisfying branch of a unit
+    is removed by adding ln(1 - exp(delta)). The dissatisfying branch of a unit
     clause has no completions and yields the constant floor vector.
     """
     E = graph.num_incidences
-    d = v2c.shape[2]
-    dt = v2c.dtype
     ar = np.arange(E)
     sat, unsat = graph.sat_value, graph.unsat_value
 
     lp = np.logaddexp(v2c[:, 0], v2c[:, 1])  # (E, d)
-    q = v2c[ar, unsat]
-    tot = np.zeros((graph.num_clauses, d), dtype=dt)
-    np.add.at(tot, graph.inc_clause, lp)
-    allu = np.zeros((graph.num_clauses, d), dtype=dt)
-    np.add.at(allu, graph.inc_clause, q)
-    excl_tot = tot[graph.inc_clause] - lp
-    excl_q = allu[graph.inc_clause] - q
+    excl = graph.clause_others_sum(np.stack([lp, v2c[ar, unsat]], axis=1))
+    excl_tot, excl_q = excl[:, 0], excl[:, 1]
     delta = excl_q - excl_tot
     delta_c = np.minimum(delta, DELTA_CLAMP)
     grad_pass = delta < DELTA_CLAMP
-    u_unsat = excl_tot + np.log1p(-np.exp(delta_c))
+    u_unsat = excl_tot + log1mexp(delta_c)
     unit = graph.clause_len[graph.inc_clause] == 1
     u_unsat[unit] = UNIT_FLOOR
-    u = np.empty((E, 2, d), dtype=dt)
+    u = np.empty_like(v2c)
     u[ar, sat] = excl_tot
     u[ar, unsat] = u_unsat
     return u, lp, delta_c, grad_pass
@@ -317,13 +313,8 @@ def satisfying_lse(graph: FactorGraph, v2c: np.ndarray):
 
 def _message_iteration(graph: FactorGraph, params: ModelParams, c2v: np.ndarray):
     """One round of updates; returns (v2c, c2v, iteration tape)."""
-    E = graph.num_incidences
-    n, d = graph.num_vars, params.d
-    dt = params.h1.dtype
-
-    vsum = np.zeros((n, 2, d), dtype=dt)
-    np.add.at(vsum, graph.inc_var, c2v)
-    s1 = vsum[graph.inc_var] - c2v
+    E, d = graph.num_incidences, params.d
+    s1 = graph.var_others_sum(c2v)
     t_flat, c1 = params.a1.apply_cached(s1.reshape(2 * E, d))
     t = t_flat.reshape(E, 2, d)
     pair = np.concatenate([t, t[:, ::-1]], axis=2)
@@ -376,12 +367,10 @@ def _forward(
 
     # variable readout: sum incoming c2v per assignment node, then a two-way
     # softmax over the value axis
-    sv = np.zeros((n, 2, d), dtype=params.h1.dtype)
-    np.add.at(sv, graph.inc_var, c2v)
+    sv = graph.var_sum(c2v)
     rv_flat, c_rvar = params.r_var.apply_cached(sv.reshape(2 * n, d))
     rv = rv_flat.reshape(n, 2)
-    zv = np.logaddexp(rv[:, 0], rv[:, 1])
-    lbv = rv - zv[:, None]
+    lbv = rv - np.logaddexp(rv[:, 0], rv[:, 1])[:, None]
 
     tape = _Tape(
         graph=graph,
@@ -399,28 +388,12 @@ def _forward(
 
     if want_count:
         plan = graph.satisfying_enumeration(factor_cap)
-        sf = np.zeros((plan.num_rows, d), dtype=params.h1.dtype)
-        np.add.at(sf, plan.flat_row, v2c[plan.flat_slot, plan.flat_value])
-        rf_col, c_rfac = params.r_fac.apply_cached(sf)
-        rf = rf_col[:, 0]
-        if plan.num_rows:
-            zmax = np.maximum.reduceat(rf, plan.row_start[:-1])
-            sums = np.add.reduceat(
-                np.exp(rf - zmax[plan.row_clause]), plan.row_start[:-1]
-            )
-            zf = zmax + np.log(sums)
-            lbf = rf - zf[plan.row_clause]
-        else:
-            lbf = rf
-        ln_z = np.zeros(n_inst, dtype=params.h1.dtype)
-        if plan.num_rows:
-            np.add.at(ln_z, clause_inst[plan.row_clause], -np.exp(lbf) * lbf)
-        weights = graph.var_degree - 1
-        np.add.at(ln_z, var_inst, weights * np.sum(np.exp(lbv) * lbv, axis=1))
+        rf_col, c_rfac = params.r_fac.apply_cached(plan.row_sums(v2c))
+        lbf = plan.log_normalize(rf_col[:, 0])
         tape.plan = plan
         tape.lbf = lbf
         tape.c_rfac = c_rfac
-        tape.ln_z = ln_z
+        tape.ln_z = bethe_sum(graph, plan, lbf, lbv, var_inst, clause_inst, n_inst)
     return tape
 
 
@@ -497,44 +470,35 @@ def backward(
         dlbv += (dlnz_vec[tape.var_inst] * weights)[:, None] * (
             np.exp(tape.lbv) * (1.0 + tape.lbv)
         )
-        if plan.num_rows:
-            dlbf = dlnz_vec[tape.clause_inst[plan.row_clause]] * (
-                -np.exp(lbf) * (1.0 + lbf)
-            )
-            # log-normalization per clause: lbf = rf - LSE(rf over the clause)
-            seg = np.zeros(graph.num_clauses)
-            np.add.at(seg, plan.row_clause, dlbf)
-            drf = dlbf - np.exp(lbf) * seg[plan.row_clause]
-            dsf = params.r_fac.backward(drf[:, None], tape.c_rfac, grads, "r_fac")
-            np.add.at(dv2c_final, (plan.flat_slot, plan.flat_value), dsf[plan.flat_row])
+        dlbf = dlnz_vec[tape.clause_inst[plan.row_clause]] * (-np.exp(lbf) * (1.0 + lbf))
+        # log-normalization per clause: lbf = rf - LSE(rf over the clause)
+        drf = dlbf - np.exp(lbf) * np.take(plan.clause_sums(dlbf), plan.row_clause)
+        dsf = params.r_fac.backward(drf[:, None], tape.c_rfac, grads, "r_fac")
+        dv2c_final = plan.scatter_rows(dsf, E)
 
     # two-way softmax: lbv = rv - logaddexp(rv0, rv1)
     drv = dlbv - np.exp(tape.lbv) * dlbv.sum(axis=1, keepdims=True)
     dsv = params.r_var.backward(
         drv.reshape(2 * n, 1), tape.c_rvar, grads, "r_var"
     ).reshape(n, 2, d)
-    dc2v = dsv[graph.inc_var]
+    dc2v = np.take(dsv, graph.inc_var, axis=0)
 
     dv2c_pending = dv2c_final
     for k in range(tape.T - 1, -1, -1):
         it = tape.iters[k]
         du = params.a3.backward(dc2v.reshape(2 * E, d), it.c3, grads, "a3").reshape(E, 2, d)
         dexcl_tot = du[ar, sat].copy()
-        du_unsat = du[ar, unsat].copy()
-        unit = graph.clause_len[graph.inc_clause] == 1
-        du_unsat[unit] = 0.0
+        # a unit clause's floor passes no gradient: clause_others_sum maps
+        # its incidence's gradients to no other incidence
+        du_unsat = du[ar, unsat]
         # expm1 overflow gives inf and a correct -0.0 ratio; silence the warning
         with np.errstate(over="ignore"):
             phi_p = (-1.0 / np.expm1(-it.delta_c)) * it.grad_pass
         dexcl_tot += du_unsat * (1.0 - phi_p)
         dexcl_q = du_unsat * phi_p
 
-        dtot = np.zeros((graph.num_clauses, d))
-        np.add.at(dtot, graph.inc_clause, dexcl_tot)
-        dallu = np.zeros((graph.num_clauses, d))
-        np.add.at(dallu, graph.inc_clause, dexcl_q)
-        dlp = dtot[graph.inc_clause] - dexcl_tot
-        dq = dallu[graph.inc_clause] - dexcl_q
+        dexcl = graph.clause_others_sum(np.stack([dexcl_tot, dexcl_q], axis=1))
+        dlp, dq = dexcl[:, 0], dexcl[:, 1]
 
         dv2c = dv2c_pending
         dv2c_pending = None
@@ -549,9 +513,7 @@ def backward(
         ).reshape(E, 2, 2 * d)
         dt = dpair[:, :, :d] + dpair[:, ::-1, d:]
         ds1 = params.a1.backward(dt.reshape(2 * E, d), it.c1, grads, "a1").reshape(E, 2, d)
-        dvsum = np.zeros((n, 2, d))
-        np.add.at(dvsum, graph.inc_var, ds1)
-        dc2v = dvsum[graph.inc_var] - ds1
+        dc2v = graph.var_others_sum(ds1)
         dv2c_pending = np.zeros((E, 2, d))
 
     # initial embeddings: c2v starts at h2 everywhere; v2c's h1 start is

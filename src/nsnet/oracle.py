@@ -278,14 +278,6 @@ def exact_marginals(
     return np.array([ratio(sums[v]) for v in range(1, formula.num_vars + 1)])
 
 
-def marginals_by_enumeration(formula: CnfFormula) -> np.ndarray:
-    """Marginals as the average over all enumerated models (reference path)."""
-    models = enumerate_models(formula)
-    if not models:
-        raise ValueError("marginals are undefined for an unsatisfiable formula")
-    return np.asarray(models, dtype=float).mean(axis=0)
-
-
 def satisfiable(formula: CnfFormula, node_budget: int | None = None) -> bool:
     """Complete satisfiability decision (DPLL with unit propagation)."""
     return _Dpll(formula, node_budget, want_sums=False).run_decide()

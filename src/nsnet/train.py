@@ -118,7 +118,7 @@ def _merge_graphs(
 ) -> tuple[FactorGraph, np.ndarray, np.ndarray]:
     """Disjoint union of factor graphs plus per-variable / per-clause
     instance ids."""
-    inc_var, inc_clause, sat_value, var_incs = [], [], [], []
+    inc_var, inc_clause, sat_value, var_incidences = [], [], [], []
     clause_start = [np.zeros(1, dtype=np.int64)]
     var_inst, clause_inst = [], []
     n_off = m_off = e_off = 0
@@ -127,7 +127,7 @@ def _merge_graphs(
         inc_clause.append(g.inc_clause + m_off)
         sat_value.append(g.sat_value)
         clause_start.append(g.clause_start[1:] + e_off)
-        var_incs.extend(arr + e_off for arr in g.var_incidences)
+        var_incidences.append(g.var_incidences + e_off)
         var_inst.append(np.full(g.num_vars, i, dtype=np.int64))
         clause_inst.append(np.full(g.num_clauses, i, dtype=np.int64))
         n_off += g.num_vars
@@ -140,7 +140,7 @@ def _merge_graphs(
         inc_clause=np.concatenate(inc_clause),
         sat_value=np.concatenate(sat_value),
         clause_start=np.concatenate(clause_start),
-        var_incidences=tuple(var_incs),
+        var_incidences=np.concatenate(var_incidences),
     )
     return merged, np.concatenate(var_inst), np.concatenate(clause_inst)
 

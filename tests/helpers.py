@@ -15,6 +15,8 @@ import numpy as np
 
 from nsnet import bp
 from nsnet.cnf import CnfFormula
+from nsnet.graph import log1mexp
+from nsnet.oracle import enumerate_models
 
 # the running example: (x1 or not x2) and (x1 or x3) and (not x1 or x2 or x3)
 F0 = CnfFormula(3, ((1, -2), (1, 3), (-1, 2, 3)))
@@ -66,6 +68,14 @@ def brute_model_count(formula: CnfFormula) -> int:
         if ok:
             count += 1
     return count
+
+
+def marginals_by_enumeration(formula: CnfFormula) -> np.ndarray:
+    """Marginals as the average over all enumerated models (reference path)."""
+    models = enumerate_models(formula)
+    if not models:
+        raise ValueError("marginals are undefined for an unsatisfiable formula")
+    return np.asarray(models, dtype=float).mean(axis=0)
 
 
 def permute_formula(formula, var_perm=None, clause_perm=None):
@@ -187,7 +197,7 @@ def looped_c2v_update(graph, v2c, log_zero):
         lo, hi = graph.clause_start[a], graph.clause_start[a + 1]
         s_excl[lo:hi] = _exclusion_matrix(hi - lo) @ q[lo:hi]
     with np.errstate(divide="ignore", invalid="ignore"):
-        unsat_msg = np.where(s_excl < 0, np.log1p(-np.exp(s_excl)), -np.inf)
+        unsat_msg = np.where(s_excl < 0, log1mexp(s_excl), -np.inf)
     unsat_msg = np.where(np.isfinite(unsat_msg), unsat_msg, log_zero)
     unsat_msg[graph.clause_len[graph.inc_clause] == 1] = log_zero
     out[ar, graph.unsat_value] = bp._saturate(unsat_msg, log_zero)

@@ -1,18 +1,19 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import helpers
-from nsnet import bp, oracle
+from nsnet import bp, net, oracle
 from nsnet.bp import (
+    LOG_HALF,
     LOG_ZERO,
     BpConfig,
     BpState,
     bethe_ln_z,
     bp_marginals,
     bp_run,
-    clause_message,
 )
 from nsnet.cnf import CnfFormula
 from nsnet.graph import build_factor_graph
@@ -58,6 +59,17 @@ class TestMessages:
                 assert np.abs(mass - 1.0).max() <= 1e-12
 
 
+def clause_message(others, satisfying):
+    """BP's message from a one-clause graph to its last literal, given the
+    other literals' normalized ``(log_sat, log_unsat)`` pairs."""
+    k = len(others) + 1
+    graph = build_factor_graph(CnfFormula(k, (tuple(range(1, k + 1)),)))
+    v2c = np.full((k, 2), LOG_HALF)
+    for j, (log_sat, log_unsat) in enumerate(others):
+        v2c[j] = log_unsat, log_sat  # positive literals: value 1 satisfies
+    return bp._c2v_update(graph, v2c, LOG_ZERO)[-1, int(satisfying)]
+
+
 class TestClauseMessage:
     def test_satisfying_branch_is_zero(self):
         pairs = [(math.log(0.3), math.log(0.7)), (math.log(0.9), math.log(0.1))]
@@ -71,10 +83,6 @@ class TestClauseMessage:
 
     def test_unit_clause_dissatisfying_is_log_zero(self):
         assert clause_message([], satisfying=False) == LOG_ZERO
-
-    def test_rejects_unnormalized_input(self):
-        with pytest.raises(ValueError):
-            clause_message([(math.log(0.5), math.log(0.6))], satisfying=False)
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(42)
@@ -272,3 +280,20 @@ class TestSegmentSumUpdates:
         ref = helpers.looped_c2v_update(graph, v2c, LOG_ZERO)
         assert got[0, 0] < -27.0  # ln(1 - exp(-1e-12)) is about -27.6
         assert np.abs(got - ref).max() <= 1e-9
+        # the neural model's reduction mode sums the same clauses
+        u = net.satisfying_lse(graph, v2c[:, :, None])[0][:, :, 0]
+        assert np.abs(u - got).max() <= 1e-9
+
+    def test_clause_message_beside_a_near_saturated_literal_is_exact(self):
+        # clause (1, 2) of the test above against ln(1 - exp(s)) at 40 digits:
+        # computed as log1p(-exp(s)), the message at s = -1e-12 is off by 2.2e-5
+        graph = build_factor_graph(CnfFormula(2, ((1, 2),)))
+        q = np.array([-600.0, -1e-12])
+        v2c = np.empty((2, 2))
+        v2c[:, 0] = q
+        v2c[:, 1] = np.log(-np.expm1(q))
+        got = bp._c2v_update(graph, v2c, LOG_ZERO)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = [float((1 - Decimal(float(s)).exp()).ln()) for s in q[::-1]]
+        assert np.abs(got[:, 0] - exact).max() <= 1e-9

@@ -55,6 +55,37 @@ class TestEvalCounting:
 
 
 class TestEvalSolving:
+    def test_model_weights_load_once(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(4)
+        formulas = []
+        while len(formulas) < 3:
+            f = helpers.random_formula(rng, 6, 5, min_len=2, max_len=3)
+            if helpers.brute_model_count(f) > 0:
+                formulas.append(f)
+        data = write_dataset(tmp_path, formulas)
+        weights = tmp_path / "w.json"
+        net.save_params(net.init_params(4, 0), weights)
+
+        loads = []
+        real_load = net.load_params
+
+        def counting_load(path):
+            loads.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(net, "load_params", counting_load)
+        argv = ["eval", "--task", "solving", "--data", data, "--init", "model",
+                "--model", weights, "--iters", "3", "--tries", "2", "--repeats", "2"]
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["instances"] == 3
+        assert len(loads) == 1
+
+        code, out_jobs = run_cli(capsys, argv + ["--jobs", "2"])
+        assert code == 0
+        assert out_jobs == out
+        assert len(loads) == 2
+
     def test_random_init_solved_is_first_try_start(self, tmp_path, capsys):
         # with one try and no flips WalkSAT solves exactly when the
         # assignment it starts from is a model

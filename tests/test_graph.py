@@ -52,10 +52,11 @@ class TestBuild:
         rng = np.random.default_rng(1)
         f = helpers.random_formula(rng, 8, 20)
         g = build_factor_graph(f)
-        for i, incs in enumerate(g.var_incidences):
-            assert all(g.inc_var[e] == i for e in incs)
-        collected = sorted(int(e) for incs in g.var_incidences for e in incs)
-        assert collected == list(range(g.num_incidences))
+        # variable by variable, each variable's incidences in increasing order
+        order = g.var_incidences
+        assert sorted(order) == list(range(g.num_incidences))
+        keys = list(zip(g.inc_var[order], order))
+        assert keys == sorted(keys)
 
 
 class TestStructureProperties:

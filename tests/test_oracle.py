@@ -8,7 +8,6 @@ from nsnet.oracle import (
     enumerate_models,
     exact_count,
     exact_marginals,
-    marginals_by_enumeration,
     satisfiable,
 )
 
@@ -88,7 +87,7 @@ class TestProperties:
                 continue
             assert np.allclose(
                 exact_marginals(formula),
-                marginals_by_enumeration(formula),
+                helpers.marginals_by_enumeration(formula),
                 atol=1e-12,
             )
 
