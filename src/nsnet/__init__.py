@@ -1,9 +1,9 @@
 """SAT and #SAT inference on CNF factor graphs.
 
 Marginal inference and Bethe partition-function estimation via log-space
-belief propagation and its learnable message-passing generalization, with
-an exact desk-scale oracle, instance generators, marginal-guided local
-search, and decimation.
+belief propagation and its learnable message-passing generalization (NSNet),
+with an exact desk-scale oracle, instance generators, and local search
+started from rounded marginals.
 """
 
 from .cnf import CnfFormula, DimacsError, emit_dimacs, evaluate, normalize, parse_dimacs, simplify
@@ -20,8 +20,8 @@ from .net import (
     save_params,
 )
 from .train import LabeledInstance, TrainConfig, adam_step, grad, kl_loss, mse_lnz_loss, split_dataset, train_loop
-from .search import SlsConfig, SlsResult, decimate, round_marginals, sls_solve
-from .gen import GenConfig, clause_count_3sat, filter_satisfiable, gen_ca, gen_random_3sat, gen_sr
+from .search import SlsConfig, SlsResult, round_marginals, sls_solve
+from .gen import GenConfig, clause_count_3sat, gen_ca, gen_random_3sat, gen_sr
 
 __all__ = [
     "CnfFormula", "DimacsError", "parse_dimacs", "emit_dimacs", "evaluate",
@@ -33,9 +33,8 @@ __all__ = [
     "save_params", "load_params",
     "TrainConfig", "LabeledInstance", "kl_loss", "mse_lnz_loss", "grad", "adam_step",
     "split_dataset", "train_loop",
-    "SlsConfig", "SlsResult", "round_marginals", "sls_solve", "decimate",
+    "SlsConfig", "SlsResult", "round_marginals", "sls_solve",
     "GenConfig", "clause_count_3sat", "gen_random_3sat", "gen_sr", "gen_ca",
-    "filter_satisfiable",
 ]
 
 __version__ = "0.1.0"

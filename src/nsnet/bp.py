@@ -8,8 +8,8 @@ probabilities that the clause is satisfied given the value.
 The update schedule is flooding: every variable-to-clause message is
 recomputed from the previous clause-to-variable messages, then every
 clause-to-variable message from the fresh variable-to-clause ones. Log
-values below the saturation threshold are clamped to a sentinel
-(``log_zero``) treated as exact zero probability, which keeps the
+values below the saturation threshold are clamped to the sentinel
+``LOG_ZERO``, treated as exact zero probability, which keeps the
 1 - prod(p) computation free of NaN from underflow.
 
 Both updates are closed forms on top of the factor graph's shared
@@ -39,7 +39,6 @@ class BpConfig:
     max_iters: int = 10
     convergence_eps: float = 1e-8
     damping: float = 0.0
-    log_zero: float = LOG_ZERO
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -52,24 +51,19 @@ class BpConfig:
 
 @dataclass
 class BpState:
-    """Messages after a run: v2c normalized per incidence, c2v raw.
-
-    ``trace`` (when recorded) holds one ``(v2c, c2v)`` snapshot per
-    iteration, in order.
-    """
+    """Messages after a run: v2c normalized per incidence, c2v raw."""
 
     v2c: np.ndarray  # (E, 2)
     c2v: np.ndarray  # (E, 2)
     converged: bool
     iterations_run: int
-    trace: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 
-def _saturate(x: np.ndarray, log_zero: float) -> np.ndarray:
-    return np.where(x < SATURATION, log_zero, x)
+def _saturate(x: np.ndarray) -> np.ndarray:
+    return np.where(x < SATURATION, LOG_ZERO, x)
 
 
-def _normalize_pairs(raw: np.ndarray, log_zero: float) -> np.ndarray:
+def _normalize_pairs(raw: np.ndarray) -> np.ndarray:
     """Normalize (E, 2) log pairs so exp values sum to 1.
 
     Pairs whose total mass underflows (both entries saturated, as happens on
@@ -80,10 +74,10 @@ def _normalize_pairs(raw: np.ndarray, log_zero: float) -> np.ndarray:
     degenerate = z < SATURATION
     if degenerate.any():
         out[degenerate] = LOG_HALF
-    return _saturate(out, log_zero)
+    return _saturate(out)
 
 
-def _v2c_update(graph: FactorGraph, c2v: np.ndarray, log_zero: float) -> np.ndarray:
+def _v2c_update(graph: FactorGraph, c2v: np.ndarray) -> np.ndarray:
     """Eq-style variable update: sum incoming c2v over all other clauses,
     then normalize per incidence.
 
@@ -91,15 +85,15 @@ def _v2c_update(graph: FactorGraph, c2v: np.ndarray, log_zero: float) -> np.ndar
     with zero-probability messages counted apart from the finite total: a
     -1e30 in the total would absorb the finite part and leave a zero
     entry's own excluded sum at 0. A sum that excludes a zero entry is
-    ``log_zero``.
+    ``LOG_ZERO``.
     """
     zero = c2v < SATURATION
     raw = graph.var_others_sum(np.where(zero, 0.0, c2v))
-    raw[graph.var_others_sum(zero.astype(c2v.dtype)) > 0] = log_zero
-    return _normalize_pairs(raw, log_zero)
+    raw[graph.var_others_sum(zero.astype(c2v.dtype)) > 0] = LOG_ZERO
+    return _normalize_pairs(raw)
 
 
-def _c2v_update(graph: FactorGraph, v2c: np.ndarray, log_zero: float) -> np.ndarray:
+def _c2v_update(graph: FactorGraph, v2c: np.ndarray) -> np.ndarray:
     """Closed-form clause update.
 
     The satisfying branch is 0 (the completions carry total mass 1); the
@@ -112,9 +106,9 @@ def _c2v_update(graph: FactorGraph, v2c: np.ndarray, log_zero: float) -> np.ndar
     q = v2c[ar, unsat_value]  # log prob each literal is dissatisfied
     s_excl = graph.clause_others_sum(q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        unsat_msg = np.where(s_excl < 0, log1mexp(s_excl), log_zero)
+        unsat_msg = np.where(s_excl < 0, log1mexp(s_excl), LOG_ZERO)
     out = np.zeros_like(v2c)
-    out[ar, unsat_value] = _saturate(unsat_msg, log_zero)
+    out[ar, unsat_value] = _saturate(unsat_msg)
     return out
 
 
@@ -122,7 +116,6 @@ def bp_run(
     graph: FactorGraph,
     config: BpConfig = BpConfig(),
     initial: BpState | None = None,
-    record_trace: bool = False,
 ) -> BpState:
     """Run log-space BP until convergence or ``max_iters``.
 
@@ -138,17 +131,16 @@ def bp_run(
         v2c = np.full((E, 2), LOG_HALF)
         c2v = np.zeros((E, 2))
     lam = config.damping
-    trace: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_trace else None
 
     converged = False
     iterations = 0
     for _ in range(config.max_iters):
-        new_v2c = _v2c_update(graph, c2v, config.log_zero)
+        new_v2c = _v2c_update(graph, c2v)
         if lam > 0.0:
-            new_v2c = _normalize_pairs(lam * v2c + (1.0 - lam) * new_v2c, config.log_zero)
-        new_c2v = _c2v_update(graph, new_v2c, config.log_zero)
+            new_v2c = _normalize_pairs(lam * v2c + (1.0 - lam) * new_v2c)
+        new_c2v = _c2v_update(graph, new_v2c)
         if lam > 0.0:
-            new_c2v = _saturate(lam * c2v + (1.0 - lam) * new_c2v, config.log_zero)
+            new_c2v = _saturate(lam * c2v + (1.0 - lam) * new_c2v)
         iterations += 1
         delta = 0.0
         if E:
@@ -156,12 +148,10 @@ def bp_run(
                 float(np.abs(new_v2c - v2c).max()), float(np.abs(new_c2v - c2v).max())
             )
         v2c, c2v = new_v2c, new_c2v
-        if trace is not None:
-            trace.append((v2c.copy(), c2v.copy()))
         if delta < config.convergence_eps:
             converged = True
             break
-    return BpState(v2c, c2v, converged, iterations, trace)
+    return BpState(v2c, c2v, converged, iterations)
 
 
 def _variable_log_beliefs(state: BpState, graph: FactorGraph) -> np.ndarray:

@@ -316,10 +316,22 @@ def _estimate_ln_z(graph, params: net.ModelParams | None, iters: int) -> float:
     return net.forward(graph, params, iters, with_count=True).ln_z
 
 
-def _eval_count_row(task_args):
-    data_dir, labels_dir, name, params, args = task_args
-    formula = _load_formula(os.path.join(data_dir, name))
-    with open(_label_path(labels_dir, name)) as fh:
+def _eval_rows(row_fn, args, params) -> list:
+    """``row_fn(args, params, name)`` for each instance of ``args.data`` in
+    file order, in ``args.jobs`` worker processes when that is above 1. The
+    weights ``params`` are loaded once and travel with each row, so workers
+    never read the weight file."""
+    names = _dataset_files(args.data)
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            k = len(names)
+            return list(pool.map(row_fn, [args] * k, [params] * k, names))
+    return [row_fn(args, params, name) for name in names]
+
+
+def _eval_count_row(args, params, name):
+    formula = _load_formula(os.path.join(args.data, name))
+    with open(_label_path(args.labels, name)) as fh:
         truth = json.load(fh).get("ln_count")
     row: dict = {"id": name[:-4], "truth": truth}
     if truth is None:
@@ -348,22 +360,14 @@ def rmse(preds, truths) -> float:
 
 
 def cmd_eval_count(args) -> int:
-    names = _dataset_files(args.data)
     if not args.labels:
         raise RuntimeError("eval --task counting requires --labels")
     if args.estimator == "model" and not args.model:
         raise RuntimeError("--estimator model requires --model WEIGHTS")
-    # the weights are loaded once and travel with each task, so worker
-    # processes never read the weight file
     params = None
     if args.estimator != "bp":
         params = _load_model(args.model if args.estimator == "model" else "reduction")
-    tasks = [(args.data, args.labels, name, params, args) for name in names]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_eval_count_row, tasks))
-    else:
-        results = [_eval_count_row(t) for t in tasks]
+    results = _eval_rows(_eval_count_row, args, params)
     rows = [r for r, _ in results]
     times = [t for _, t in results]
     good = [r for r in rows if "pred" in r]
@@ -387,9 +391,12 @@ def cmd_eval_count(args) -> int:
     return EXIT_OK
 
 
-def _eval_solve_row(task_args):
-    data_dir, name, seeds, params, args = task_args
-    formula = _load_formula(os.path.join(data_dir, name))
+def _repeat_seeds(args) -> list[int]:
+    return [gen.derive_seed(args.seed, k) for k in range(args.repeats)]
+
+
+def _eval_solve_row(args, params, name):
+    formula = _load_formula(os.path.join(args.data, name))
     row: dict = {"id": name[:-4]}
     sat = oracle.satisfiable(formula)
     row["satisfiable"] = sat
@@ -398,7 +405,7 @@ def _eval_solve_row(task_args):
     labels = _label_path(args.labels, name) if args.init == "file" else None
     guided = _initial_assignment(formula, args.init, args.iters, params, labels)
     init_solved, solved, flips = [], [], []
-    for k, seed in enumerate(seeds):
+    for seed in _repeat_seeds(args):
         config = search.SlsConfig(
             max_tries=args.tries, max_flips=args.max_flips, noise=args.noise, seed=seed
         )
@@ -426,22 +433,13 @@ def _mean_std(values) -> dict:
 
 
 def cmd_eval_solve(args) -> int:
-    names = _dataset_files(args.data)
-    # as in cmd_eval_count, the weights are loaded once and travel with each task
-    params = _init_params(args)
-    seeds = [gen.derive_seed(args.seed, k) for k in range(args.repeats)]
-    tasks = [(args.data, name, seeds, params, args) for name in names]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_eval_solve_row, tasks))
-    else:
-        rows = [_eval_solve_row(t) for t in tasks]
+    rows = _eval_rows(_eval_solve_row, args, _init_params(args))
     usable = [r for r in rows if r["satisfiable"]]
     excluded = len(rows) - len(usable)
     if excluded:
         log.warning("%d unsatisfiable instances excluded from accuracy", excluded)
     runs = []
-    for k, seed in enumerate(seeds):
+    for k, seed in enumerate(_repeat_seeds(args)):
         init_frac = (
             sum(r["init_solved"][k] for r in usable) / len(usable) if usable else None
         )

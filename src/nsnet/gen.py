@@ -1,8 +1,9 @@
 """Reproducible synthetic SAT instance generators.
 
 Three distributions at desk scale: random 3-SAT at the phase-transition
-clause ratio, an SR-style incremental pair construction (satisfiable member
-kept), and a community-attachment (CA) pseudo-industrial generator.
+clause ratio, NeuroSAT's SR(n) (satisfiable member of each pair, clause
+length capped), and a community-attachment (CA) pseudo-industrial
+generator.
 
 Randomness comes from numpy's counter-based Philox generator keyed directly
 by the instance seed, so every formula is a pure function of (config, seed).
@@ -12,19 +13,18 @@ documented mixing rule in :func:`derive_seed`.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
 from .cnf import Clause, CnfFormula
 
-log = logging.getLogger(__name__)
-
 DISTRIBUTIONS = ("random3sat", "sr", "ca")
+
+# longest clause gen_sr draws
+SR_MAX_CLAUSE_LEN = 4
 
 # golden-ratio increment, the splitmix64 stream constant
 _SEED_MIX = 0x9E3779B97F4A7C15
@@ -49,7 +49,6 @@ class GenConfig:
     seed: int = 0
     ca_communities: tuple[int, int] = (3, 10)
     ca_modularity: tuple[float, float] = (0.7, 0.9)
-    sr_max_clause_len: int = 4
 
     def __post_init__(self):
         if self.distribution not in DISTRIBUTIONS:
@@ -63,8 +62,6 @@ class GenConfig:
         qlo, qhi = self.ca_modularity
         if not (0.0 < qlo <= qhi <= 1.0):
             raise ValueError(f"bad modularity range ({qlo}, {qhi})")
-        if self.sr_max_clause_len < 1:
-            raise ValueError("sr_max_clause_len must be >= 1")
 
     @property
     def var_range(self) -> tuple[int, int]:
@@ -100,28 +97,32 @@ def gen_random_3sat(n: int, seed: int) -> CnfFormula:
     return CnfFormula(n, tuple(_random_clause(rng, n, 3) for _ in range(m)))
 
 
-def gen_sr(n: int, seed: int, max_clause_len: int = 4) -> CnfFormula:
-    """SR-style construction: add random clauses until the formula becomes
-    unsatisfiable, then return it without the final clause.
+def gen_sr(n: int, seed: int) -> CnfFormula:
+    """The satisfiable member of an SR(n) pair (NeuroSAT, Selsam et al.).
 
-    Clause length is 1 + Bernoulli(0.7) + a geometric tail (p=0.4, counting
-    failures, so the tail starts at 0), truncated to ``max_clause_len`` and
-    to n. The result is always satisfiable: it is the satisfiable member of
-    the SR pair, the unsatisfiable completion being discarded.
+    Random clauses are added until the formula becomes unsatisfiable. Each
+    clause has k = 1 + Bernoulli(0.7) + Geo(0.4) distinct variables, where
+    Geo counts trials up to the first success and so starts at 1, making
+    k >= 2. Unlike SR, k is truncated to ``SR_MAX_CLAUSE_LEN`` and to n; the
+    cap bounds the 2^k enumeration of the counting readout. Every model of
+    the clauses before the last falsifies all literals of the last one, so
+    negating one of its literals, drawn uniformly, gives a satisfiable
+    formula that differs from the unsatisfiable member in that literal.
     """
     if n < 2:
         raise ValueError("SR generation needs n >= 2")
     rng = make_rng(seed)
     clauses: list[Clause] = []
-    # generous cap so a pathological stream cannot loop forever
-    for _ in range(50 * n + 1000):
-        k = 1 + int(rng.random() < 0.7) + int(rng.geometric(0.4)) - 1
-        k = min(k, max_clause_len, n)
-        clause = _random_clause(rng, n, k)
-        candidate = CnfFormula(n, tuple(clauses) + (clause,))
-        if not oracle.satisfiable(candidate):
+    # ends with probability 1: any step may complete an unsatisfiable set
+    # of 2-clauses
+    while True:
+        k = 1 + int(rng.random() < 0.7) + int(rng.geometric(0.4))
+        clauses.append(_random_clause(rng, n, min(k, SR_MAX_CLAUSE_LEN, n)))
+        if not oracle.satisfiable(CnfFormula(n, tuple(clauses))):
             break
-        clauses.append(clause)
+    last = clauses[-1]
+    j = int(rng.integers(len(last)))
+    clauses[-1] = last[:j] + (-last[j],) + last[j + 1:]
     return CnfFormula(n, tuple(clauses))
 
 
@@ -178,22 +179,6 @@ def generate(config: GenConfig, index: int) -> CnfFormula:
     if config.distribution == "random3sat":
         return gen_random_3sat(n, seed)
     if config.distribution == "sr":
-        return gen_sr(n, seed, config.sr_max_clause_len)
+        return gen_sr(n, seed)
     return gen_ca(n, seed, config)
 
-
-def filter_satisfiable(
-    formulas: Iterable[CnfFormula],
-    checker: Callable[[CnfFormula], bool] = oracle.satisfiable,
-) -> Iterator[CnfFormula]:
-    """Pass through only satisfiable instances, preserving order.
-
-    ``checker`` must be a complete decision procedure. An instance on which
-    the checker exhausts its budget is dropped with a warning.
-    """
-    for i, formula in enumerate(formulas):
-        try:
-            if checker(formula):
-                yield formula
-        except oracle.BudgetExceededError as exc:
-            log.warning("dropping instance %d: %s", i, exc)

@@ -181,20 +181,6 @@ class FactorGraph:
         self._enum_cache[cap] = plan
         return plan
 
-    def dump_edges(self) -> str:
-        """Debug text dump, one line per value slot: `var value clause sat|unsat`.
-
-        Variables and clauses are 1-based here, matching DIMACS numbering.
-        """
-        lines = []
-        for e in range(self.num_incidences):
-            for value in (0, 1):
-                tag = "sat" if value == self.sat_value[e] else "unsat"
-                lines.append(
-                    f"{self.inc_var[e] + 1} {value} {self.inc_clause[e] + 1} {tag}"
-                )
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 def build_factor_graph(formula: CnfFormula) -> FactorGraph:
     """Build the bipartite encoding; the formula must be normalized.

@@ -238,14 +238,12 @@ class NsnetOutput:
     """Marginals b_i(1), per-clause log factor beliefs, and the ln Z estimate.
 
     ``factor_beliefs`` and ``ln_z`` are None when the counting readout was
-    not requested. ``trace`` (optional) holds per-iteration (v2c, c2v)
-    embedding snapshots of shape (E, 2, d).
+    not requested.
     """
 
     marginals: np.ndarray
     factor_beliefs: list[np.ndarray] | None
     ln_z: float | None
-    trace: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 
 @dataclass
@@ -275,7 +273,6 @@ class _Tape:
     var_inst: np.ndarray | None = None
     clause_inst: np.ndarray | None = None
     n_inst: int = 1
-    trace: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def satisfying_lse(graph: FactorGraph, v2c: np.ndarray):
@@ -333,7 +330,6 @@ def _forward(
     T: int,
     want_count: bool,
     factor_cap: int = DEFAULT_FACTOR_ENUM_CAP,
-    record_trace: bool = False,
     var_inst: np.ndarray | None = None,
     clause_inst: np.ndarray | None = None,
 ) -> _Tape:
@@ -358,12 +354,9 @@ def _forward(
     c2v = np.broadcast_to(params.h2, (E, 2, d)).copy()
     v2c = np.broadcast_to(params.h1, (E, 2, d)).copy()
     iters: list[_IterTape] = []
-    trace: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_trace else None
     for _ in range(T):
         v2c, c2v, it = _message_iteration(graph, params, c2v)
         iters.append(it)
-        if trace is not None:
-            trace.append((v2c.copy(), c2v.copy()))
 
     # variable readout: sum incoming c2v per assignment node, then a two-way
     # softmax over the value axis
@@ -383,7 +376,6 @@ def _forward(
         var_inst=var_inst,
         clause_inst=clause_inst,
         n_inst=n_inst,
-        trace=trace,
     )
 
     if want_count:
@@ -403,7 +395,6 @@ def forward(
     T: int,
     with_count: bool = True,
     factor_cap: int = DEFAULT_FACTOR_ENUM_CAP,
-    record_trace: bool = False,
 ) -> NsnetOutput:
     """Inference on a single formula's factor graph.
 
@@ -411,10 +402,7 @@ def forward(
     computed as well, which requires every clause length to be at most
     ``factor_cap`` (marginals have no such restriction).
     """
-    tape = _forward(
-        graph, params, T, want_count=with_count, factor_cap=factor_cap,
-        record_trace=record_trace,
-    )
+    tape = _forward(graph, params, T, want_count=with_count, factor_cap=factor_cap)
     marginals = np.exp(tape.lbv[:, 1])
     factor_beliefs = None
     ln_z = None
@@ -425,7 +413,7 @@ def forward(
             tape.lbf[starts[a]: starts[a + 1]] for a in range(graph.num_clauses)
         ]
         ln_z = float(tape.ln_z[0])
-    return NsnetOutput(marginals, factor_beliefs, ln_z, tape.trace)
+    return NsnetOutput(marginals, factor_beliefs, ln_z)
 
 
 def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:

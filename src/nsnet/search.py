@@ -1,4 +1,4 @@
-"""Stochastic local search with pluggable initialization, plus decimation.
+"""Stochastic local search: WalkSAT started from rounded marginals.
 
 The SLS core is WalkSAT with break counts: pick a random unsatisfied
 clause; with probability ``noise`` flip a random variable from it, else
@@ -10,16 +10,13 @@ probability 1/2.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cnf import CnfFormula, evaluate, simplify
-
-log = logging.getLogger(__name__)
+from .cnf import CnfFormula
 
 
 @dataclass(frozen=True)
@@ -157,75 +154,3 @@ def sls_solve(
             return SlsResult(True, tuple(assign), try_i, flips_total, flips_this)
     return SlsResult(False, None, config.max_tries, flips_total, flips_this)
 
-
-def decimate(
-    formula: CnfFormula,
-    marginal_provider: Callable[[CnfFormula], np.ndarray],
-    unit_propagate: bool = False,
-) -> tuple[int, ...] | None:
-    """Iteratively fix the most-certain variable and simplify.
-
-    At each step the provider is queried on the current residual formula;
-    among unfixed variables the one with the largest |b(1) - b(0)| is fixed
-    (ties to the lowest index) to 1 when b(1) >= b(0), else 0. Variables no
-    longer referenced get marginal 0.5 from any sound provider and are fixed
-    to 1 by the tie rules. Returns None if simplification derives the empty
-    clause or the provider fails on a residual formula.
-    """
-    n = formula.num_vars
-    fixed: dict[int, int] = {}
-    current = formula
-    while len(fixed) < n:
-        if current.has_empty_clause():
-            log.warning("decimation reached an unsatisfiable residual")
-            return None
-        try:
-            marg = np.asarray(marginal_provider(current), dtype=float)
-        except Exception as exc:  # provider failure is a result, not a crash
-            log.warning("marginal provider failed during decimation: %s", exc)
-            return None
-        best_var, best_gap = 0, -1.0
-        for v in range(1, n + 1):
-            if v in fixed:
-                continue
-            gap = abs(2.0 * marg[v - 1] - 1.0)
-            if gap > best_gap:
-                best_var, best_gap = v, gap
-        val = 1 if marg[best_var - 1] >= 0.5 else 0
-        fixed[best_var] = val
-        current = simplify(current, {best_var: val}, unit_propagate=False)
-        if unit_propagate:
-            propagated = simplify(current, {}, unit_propagate=True)
-            # recover the values unit propagation fixed, to keep `fixed` total
-            if propagated.has_empty_clause():
-                current = propagated
-                continue
-            forced = _forced_units(current)
-            for var, value in forced.items():
-                if var not in fixed:
-                    fixed[var] = value
-            current = propagated
-    assignment = tuple(fixed[v] for v in range(1, n + 1))
-    if not evaluate(formula, assignment):
-        log.warning("decimation produced a non-satisfying assignment")
-        return None
-    return assignment
-
-
-def _forced_units(formula: CnfFormula) -> dict[int, int]:
-    """Transitively forced unit assignments of a formula."""
-    forced: dict[int, int] = {}
-    current = formula
-    while True:
-        units = {
-            abs(c[0]): (1 if c[0] > 0 else 0)
-            for c in current.clauses
-            if len(c) == 1
-        }
-        new = {v: val for v, val in units.items() if v not in forced}
-        if not new:
-            return forced
-        forced.update(new)
-        current = simplify(current, new, unit_propagate=False)
-        if current.has_empty_clause():
-            return forced

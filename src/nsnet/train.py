@@ -9,6 +9,7 @@ batch loss and its gradient come out of one forward/backward pass.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -17,6 +18,8 @@ import numpy as np
 from . import net
 from .cnf import CnfFormula
 from .graph import DEFAULT_FACTOR_ENUM_CAP, FactorGraph, build_factor_graph
+
+log = logging.getLogger(__name__)
 
 LOG_PRED_FLOOR = math.log(1e-12)
 
@@ -47,10 +50,8 @@ class TrainConfig:
     T: int = 10
     d: int = 16
     hidden: int = net.DEFAULT_HIDDEN
-    decoupled_weight_decay: bool = False
     factor_cap: int = DEFAULT_FACTOR_ENUM_CAP
     max_steps: int | None = None
-    target_train_loss: float | None = None
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -223,17 +224,19 @@ class OptimizerState:
 
 
 def clip_global_norm(
-    grads: dict[str, np.ndarray], max_norm: float
+    grads: dict[str, np.ndarray], max_norm: float, step: int | None = None
 ) -> dict[str, np.ndarray]:
     """Scale all gradients so the global L2 norm is at most ``max_norm``.
 
     A non-finite global norm (overflow through the near-clamp branch of the
-    log-difference path can spike single entries) zeroes the whole gradient:
-    the step is skipped rather than poisoning the parameters with NaN.
+    log-difference path can spike single entries) zeroes the whole gradient,
+    with a warning naming optimizer step ``step``, rather than poisoning the
+    parameters with NaN.
     """
     with np.errstate(over="ignore"):
         total_sq = sum(float(np.sum(g * g)) for g in grads.values())
     if not math.isfinite(total_sq):
+        log.warning("non-finite gradient norm at step %s; gradient zeroed", step)
         return {k: np.zeros_like(g) for k, g in grads.items()}
     total = math.sqrt(total_sq)
     if total <= max_norm or total == 0.0:
@@ -248,23 +251,19 @@ def adam_step(
     state: OptimizerState,
     config: TrainConfig,
 ) -> tuple[net.ModelParams, OptimizerState]:
-    """One Adam update after global-norm clipping.
-
-    Weight decay defaults to the classic L2 coupling (lambda * w added to
-    the clipped gradient); ``decoupled_weight_decay`` switches to the
-    decoupled variant applied directly to the weights.
-    """
-    grads = clip_global_norm(grads, config.clip_norm)
+    """One Adam update after global-norm clipping, with L2 weight decay
+    (lambda * w added to the clipped gradient)."""
+    t = state.step + 1
+    grads = clip_global_norm(grads, config.clip_norm, t)
     new_params = params.copy()
     arrays = dict(new_params.param_items())
-    t = state.step + 1
     new_m, new_v = {}, {}
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     wd = config.weight_decay
     for name, w in arrays.items():
         g = grads[name]
-        if wd and not config.decoupled_weight_decay:
+        if wd:
             g = g + wd * w
         m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
@@ -272,8 +271,6 @@ def adam_step(
         new_v[name] = v
         step = config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         w -= step
-        if wd and config.decoupled_weight_decay:
-            w -= config.learning_rate * wd * w
     return new_params, OptimizerState(t, new_m, new_v)
 
 
@@ -339,7 +336,11 @@ def train_loop(
             batch = [train[i] for i in order[lo: lo + config.batch_size]]
             try:
                 grads, loss = grad(batch, params, config)
-            except NonFiniteLossError:
+            except NonFiniteLossError as exc:
+                log.warning(
+                    "non-finite loss on training instance %d at step %d; training stops",
+                    order[lo + exc.instance_index], steps + 1,
+                )
                 return (best_params if val else params), history
             params, state = adam_step(params, grads, state, config)
             epoch_loss += loss * len(batch)
@@ -354,8 +355,6 @@ def train_loop(
         if val and val_loss < best_val:
             best_val = val_loss
             best_params = params
-        if config.target_train_loss is not None and train_loss <= config.target_train_loss:
-            stop = True
         if stop:
             break
     if not history:

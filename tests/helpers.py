@@ -176,17 +176,17 @@ def _exclusion_matrix(k):
     return np.ones((k, k)) - np.eye(k)
 
 
-def looped_v2c_update(graph, c2v, log_zero):
+def looped_v2c_update(graph, c2v):
     """Variable update with one all-but-self matmul per variable."""
     raw = np.zeros_like(c2v)
     for i in range(graph.num_vars):
         incs = np.flatnonzero(graph.inc_var == i)
         if len(incs):
             raw[incs] = _exclusion_matrix(len(incs)) @ c2v[incs]
-    return bp._normalize_pairs(raw, log_zero)
+    return bp._normalize_pairs(raw)
 
 
-def looped_c2v_update(graph, v2c, log_zero):
+def looped_c2v_update(graph, v2c):
     """Clause update with one all-but-self matmul per clause."""
     E = graph.num_incidences
     ar = np.arange(E)
@@ -198,9 +198,9 @@ def looped_c2v_update(graph, v2c, log_zero):
         s_excl[lo:hi] = _exclusion_matrix(hi - lo) @ q[lo:hi]
     with np.errstate(divide="ignore", invalid="ignore"):
         unsat_msg = np.where(s_excl < 0, log1mexp(s_excl), -np.inf)
-    unsat_msg = np.where(np.isfinite(unsat_msg), unsat_msg, log_zero)
-    unsat_msg[graph.clause_len[graph.inc_clause] == 1] = log_zero
-    out[ar, graph.unsat_value] = bp._saturate(unsat_msg, log_zero)
+    unsat_msg = np.where(np.isfinite(unsat_msg), unsat_msg, bp.LOG_ZERO)
+    unsat_msg[graph.clause_len[graph.inc_clause] == 1] = bp.LOG_ZERO
+    out[ar, graph.unsat_value] = bp._saturate(unsat_msg)
     return out
 
 

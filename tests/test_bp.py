@@ -67,7 +67,7 @@ def clause_message(others, satisfying):
     v2c = np.full((k, 2), LOG_HALF)
     for j, (log_sat, log_unsat) in enumerate(others):
         v2c[j] = log_unsat, log_sat  # positive literals: value 1 satisfies
-    return bp._c2v_update(graph, v2c, LOG_ZERO)[-1, int(satisfying)]
+    return bp._c2v_update(graph, v2c)[-1, int(satisfying)]
 
 
 class TestClauseMessage:
@@ -276,8 +276,8 @@ class TestSegmentSumUpdates:
         ar = np.arange(graph.num_incidences)
         v2c[ar, graph.unsat_value] = q
         v2c[ar, graph.sat_value] = np.log(-np.expm1(q))
-        got = bp._c2v_update(graph, v2c, LOG_ZERO)
-        ref = helpers.looped_c2v_update(graph, v2c, LOG_ZERO)
+        got = bp._c2v_update(graph, v2c)
+        ref = helpers.looped_c2v_update(graph, v2c)
         assert got[0, 0] < -27.0  # ln(1 - exp(-1e-12)) is about -27.6
         assert np.abs(got - ref).max() <= 1e-9
         # the neural model's reduction mode sums the same clauses
@@ -292,7 +292,7 @@ class TestSegmentSumUpdates:
         v2c = np.empty((2, 2))
         v2c[:, 0] = q
         v2c[:, 1] = np.log(-np.expm1(q))
-        got = bp._c2v_update(graph, v2c, LOG_ZERO)
+        got = bp._c2v_update(graph, v2c)
         with localcontext() as ctx:
             ctx.prec = 40
             exact = [float((1 - Decimal(float(s)).exp()).ln()) for s in q[::-1]]

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from nsnet import oracle
-from nsnet.cnf import CnfFormula, evaluate
+from nsnet.cnf import CnfFormula
 from nsnet.gen import (
+    SR_MAX_CLAUSE_LEN,
     GenConfig,
     clause_count_3sat,
     derive_seed,
-    filter_satisfiable,
     gen_ca,
     gen_random_3sat,
     gen_sr,
@@ -53,6 +53,13 @@ class TestRandom3Sat:
             gen_random_3sat(2, seed=0)
 
 
+def negate_literal(formula, clause_index, j):
+    clauses = list(formula.clauses)
+    c = clauses[clause_index]
+    clauses[clause_index] = c[:j] + (-c[j],) + c[j + 1:]
+    return CnfFormula(formula.num_vars, tuple(clauses))
+
+
 class TestSr:
     def test_outputs_are_satisfiable(self):
         for seed in range(8):
@@ -62,14 +69,29 @@ class TestSr:
     def test_clause_length_cap(self):
         for seed in range(8):
             f = gen_sr(15, seed=seed)
-            assert all(1 <= len(c) <= 4 for c in f.clauses)
+            assert all(2 <= len(c) <= SR_MAX_CLAUSE_LEN for c in f.clauses)
 
     def test_deterministic(self):
         assert gen_sr(10, seed=3) == gen_sr(10, seed=3)
 
-    def test_custom_cap(self):
-        f = gen_sr(12, seed=5, max_clause_len=3)
-        assert all(len(c) <= 3 for c in f.clauses)
+    def test_satisfiable_member_of_a_pair(self):
+        # no unit clauses, and negating one literal of the last clause gives
+        # the unsatisfiable member of the pair
+        for seed in range(20):
+            f = gen_sr(10, seed=seed)
+            assert all(len(c) >= 2 for c in f.clauses)
+            assert oracle.satisfiable(f)
+            last = f.clauses[-1]
+            assert any(
+                not oracle.satisfiable(negate_literal(f, len(f.clauses) - 1, j))
+                for j in range(len(last))
+            )
+
+    def test_short_clauses_at_tiny_n(self):
+        for seed in range(10):
+            f = gen_sr(2, seed=seed)
+            assert all(len(c) == 2 for c in f.clauses)
+            assert oracle.satisfiable(f)
 
 
 class TestCa:
@@ -126,35 +148,6 @@ class TestCa:
             gen_ca(8, seed=0, config=config)
 
 
-class TestFilter:
-    def test_drops_unsatisfiable(self):
-        sat = CnfFormula(1, ((1,),))
-        unsat = CnfFormula(1, ((1,), (-1,)))
-        assert list(filter_satisfiable([sat, unsat, sat])) == [sat, sat]
-
-    def test_empty_stream(self):
-        assert list(filter_satisfiable([])) == []
-
-    def test_random_3sat_outputs_satisfy_oracle_model(self):
-        formulas = [gen_random_3sat(12, seed=s) for s in range(30)]
-        kept = list(filter_satisfiable(formulas))
-        assert 0 < len(kept) <= len(formulas)
-        for f in kept:
-            models = oracle.enumerate_models(f, limit=1)
-            assert models and evaluate(f, models[0])
-
-    def test_budget_exhaustion_drops_with_warning(self, caplog):
-        formulas = [gen_random_3sat(12, seed=0)]
-
-        def tight_checker(formula):
-            return oracle.satisfiable(formula, node_budget=2)
-
-        with caplog.at_level("WARNING"):
-            kept = list(filter_satisfiable(formulas, tight_checker))
-        assert kept == []
-        assert any("dropping" in r.message for r in caplog.records)
-
-
 class TestConfigAndSeeds:
     def test_generate_is_pure(self):
         config = GenConfig(distribution="random3sat", num_vars=(10, 14), seed=5)
@@ -178,5 +171,3 @@ class TestConfigAndSeeds:
             GenConfig(num_vars=(5, 3))
         with pytest.raises(ValueError):
             GenConfig(ca_modularity=(0.0, 0.5))
-        with pytest.raises(ValueError):
-            GenConfig(sr_max_clause_len=0)

@@ -123,16 +123,6 @@ class TestEnumerationPlan:
         with pytest.raises(ValueError):
             g.satisfying_enumeration(10)
 
-    def test_dump_format(self):
-        g = build_factor_graph(CnfFormula(2, ((1, -2),)))
-        lines = g.dump_edges().splitlines()
-        assert lines == [
-            "1 0 1 unsat",
-            "1 1 1 sat",
-            "2 0 1 sat",
-            "2 1 1 unsat",
-        ]
-
     def test_plan_equals_looped_reference(self):
         rng = np.random.default_rng(4)
         for _ in range(60):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from nsnet import oracle
+from nsnet import net, oracle
 from nsnet.bp import BpConfig, bethe_ln_z, bp_marginals, bp_run
 from nsnet.cnf import CnfFormula
 from nsnet.graph import build_factor_graph
@@ -113,13 +113,13 @@ class TestReduction:
             formula = helpers.random_formula(rng, n, 2 * n, min_len=2)
             graph = build_factor_graph(formula)
             T = 10
-            out = forward(graph, red, T, record_trace=True)
-            state = bp_run(
-                graph, BpConfig(max_iters=T, convergence_eps=1e-300), record_trace=True
-            )
-            for (vn, cn), (vb, cb) in zip(out.trace, state.trace):
-                assert np.abs(vn[:, :, 0] - vb).max() <= 1e-9
-                assert np.abs(cn[:, :, 0] - cb).max() <= 1e-9
+            tape = net._forward(graph, red, T, want_count=False)
+            for k, it in enumerate(tape.iters):
+                state = bp_run(graph, BpConfig(max_iters=k + 1, convergence_eps=1e-300))
+                assert np.abs(it.v2c[:, :, 0] - state.v2c).max() <= 1e-9
+                c2v = satisfying_lse(graph, it.v2c)[0]  # A3 is the identity
+                assert np.abs(c2v[:, :, 0] - state.c2v).max() <= 1e-9
+            out = forward(graph, red, T)
             assert np.abs(out.marginals - bp_marginals(state, graph)).max() <= 1e-9
 
     def test_lnz_matches_bethe_on_trees(self):

@@ -1,0 +1,91 @@
+"""Property tests: DIMACS round trip, soundness of ``simplify``, the
+factorized satisfying-completion LSE against enumeration, and invariance of
+BP's Bethe ln Z under variable relabeling and negation.
+
+Examples are derandomized, so every run checks the same cases.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import helpers
+from nsnet.bp import BpConfig, bethe_ln_z, bp_run
+from nsnet.cnf import CnfFormula, emit_dimacs, parse_dimacs, simplify
+from nsnet.graph import build_factor_graph
+from nsnet.net import satisfying_lse
+from nsnet.oracle import enumerate_models
+
+derandomized = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+
+
+@st.composite
+def formulas(draw, max_vars=6, max_clauses=8, min_len=1, max_len=4):
+    """Normalized formulas: distinct variables within each clause."""
+    n = draw(st.integers(min_len, max_vars))
+    clauses = []
+    for _ in range(draw(st.integers(0, max_clauses))):
+        k = draw(st.integers(min_len, min(max_len, n)))
+        variables = draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
+        signs = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        clauses.append(tuple(v if s else -v for v, s in zip(variables, signs)))
+    return CnfFormula(n, tuple(clauses))
+
+
+@derandomized
+@given(formulas())
+def test_dimacs_round_trip(formula):
+    assert parse_dimacs(emit_dimacs(formula)) == (formula, [])
+
+
+@derandomized
+@given(formulas(), st.booleans(), st.data())
+def test_simplify_is_sound(formula, unit_propagate, data):
+    fixed = data.draw(
+        st.dictionaries(st.integers(1, formula.num_vars), st.integers(0, 1))
+    )
+    residual = simplify(formula, fixed, unit_propagate=unit_propagate)
+
+    def agreeing(f):
+        return {m for m in enumerate_models(f) if all(m[v - 1] == b for v, b in fixed.items())}
+
+    before, after = agreeing(formula), agreeing(residual)
+    if unit_propagate:
+        # forced variables leave the residual unconstrained, so it may gain
+        # models, but it keeps every old one and is satisfiable exactly when
+        # the formula is under ``fixed``
+        assert before <= after and bool(before) == bool(after)
+    else:
+        assert before == after
+
+
+@derandomized
+@given(formulas(min_len=2), st.integers(1, 3), st.data())
+def test_satisfying_lse_equals_enumeration(formula, d, data):
+    graph = build_factor_graph(formula)
+    v2c = data.draw(
+        hnp.arrays(float, (graph.num_incidences, 2, d), elements=st.floats(-5.0, 5.0))
+    )
+    u = satisfying_lse(graph, v2c)[0]
+    for e in range(graph.num_incidences):
+        for value in (0, 1):
+            ref = helpers.brute_satisfying_lse(graph, v2c, e, value)
+            assert np.abs(u[e, value] - ref).max() <= 1e-9
+
+
+@derandomized
+@given(formulas(max_len=3), st.data())
+def test_bethe_ln_z_invariant_under_relabeling_and_negation(formula, data):
+    n = formula.num_vars
+    perm = data.draw(st.permutations(range(n)))
+    transformed = helpers.permute_formula(formula, var_perm=perm)
+    for var in data.draw(st.sets(st.integers(1, n))):
+        transformed = helpers.negate_variable(transformed, var)
+
+    def ln_z(f):
+        graph = build_factor_graph(f)
+        return bethe_ln_z(bp_run(graph, BpConfig(max_iters=20)), graph)
+
+    assert ln_z(transformed) == pytest.approx(ln_z(formula), rel=1e-9, abs=1e-9)

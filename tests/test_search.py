@@ -5,7 +5,7 @@ import helpers
 from nsnet import oracle
 from nsnet.cnf import CnfFormula, evaluate
 from nsnet.gen import gen_random_3sat
-from nsnet.search import SlsConfig, SlsResult, decimate, round_marginals, sls_solve
+from nsnet.search import SlsConfig, SlsResult, round_marginals, sls_solve
 
 
 class TestRounding:
@@ -81,55 +81,3 @@ class TestSls:
         formula = gen_random_3sat(10, seed=4)
         result = sls_solve(formula, SlsConfig(max_tries=50, seed=11))
         assert result.flips_last_try <= result.flips_total
-
-
-class TestDecimate:
-    def test_running_example_trace(self):
-        # ties at |b1 - b0| = 0.5 for x1 and x3 break to x1; the residual
-        # (x2 or x3) gives 2/3 each, fixing x2; x3 is then free and the tie
-        # rule sends it to 1
-        assignment = decimate(helpers.F0, oracle.exact_marginals)
-        assert assignment == (1, 1, 1)
-        assert evaluate(helpers.F0, assignment)
-
-    def test_unit_clause_fixed_first(self):
-        formula = CnfFormula(2, ((1,), (1, 2)))
-        assignment = decimate(formula, oracle.exact_marginals)
-        assert assignment[0] == 1
-
-    def test_oracle_provider_always_succeeds(self):
-        rng = np.random.default_rng(9)
-        count = 0
-        while count < 40:
-            n = int(rng.integers(3, 14))
-            formula = helpers.random_formula(rng, n, int(rng.integers(2, 3 * n)))
-            if not oracle.satisfiable(formula):
-                continue
-            count += 1
-            assignment = decimate(formula, oracle.exact_marginals)
-            assert assignment is not None
-            assert evaluate(formula, assignment)
-
-    def test_unit_propagation_variant(self):
-        rng = np.random.default_rng(10)
-        count = 0
-        while count < 15:
-            n = int(rng.integers(3, 12))
-            formula = helpers.random_formula(rng, n, int(rng.integers(2, 3 * n)))
-            if not oracle.satisfiable(formula):
-                continue
-            count += 1
-            assignment = decimate(formula, oracle.exact_marginals, unit_propagate=True)
-            assert assignment is not None
-            assert evaluate(formula, assignment)
-
-    def test_provider_failure_yields_none(self):
-        def broken(formula):
-            raise RuntimeError("no marginals here")
-
-        assert decimate(helpers.F0, broken) is None
-
-    def test_unsat_input_yields_none(self):
-        formula = CnfFormula(2, ((1,), (-1,)))
-        # the oracle provider raises on the unsatisfiable residual
-        assert decimate(formula, oracle.exact_marginals) is None

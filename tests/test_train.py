@@ -192,6 +192,16 @@ class TestAdam:
         assert np.all(clipped["a"] == 0.0)
         assert np.all(clipped["b"] == 0.0)
 
+    def test_nonfinite_gradient_is_logged_with_its_step(self, caplog):
+        params = net.init_params(1, seed=0, hidden=16)
+        grads = {k: np.full_like(v, np.nan) for k, v in params.param_items()}
+        state = OptimizerState.initial(params)
+        state.step = 4
+        with caplog.at_level("WARNING", logger="nsnet.train"):
+            adam_step(params, grads, state, TrainConfig())
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "non-finite gradient" in caplog.text and "step 5" in caplog.text
+
 
 class TestSplit:
     def test_sizes(self):
@@ -278,6 +288,17 @@ class TestTrainLoop:
         )
         _, history = train_loop(corpus, [], config)
         assert len(history) == 1
+
+    def test_nonfinite_loss_is_logged_with_its_instance(self, caplog):
+        formulas = [inst.formula for inst in self._corpus(4)]
+        corpus = [LabeledInstance(f, ln_count=1.0) for f in formulas]
+        corpus[2] = LabeledInstance(formulas[2], ln_count=float("nan"))
+        config = TrainConfig(task="counting", d=4, T=2, hidden=16, epochs=2, batch_size=1)
+        with caplog.at_level("WARNING", logger="nsnet.train"):
+            _, history = train_loop(corpus, [], config)
+        assert history == []
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "non-finite loss on training instance 2" in caplog.text
 
 
 class TestBatchLoss:
