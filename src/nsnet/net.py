@@ -18,6 +18,15 @@ exact per coordinate and reduces the cost from O(2^L) to O(L); tests hold
 it to brute-force enumeration. Every sum over incidences, and the readouts'
 per-clause normalization and Bethe sum, are the factor graph's shared
 reductions (see :mod:`nsnet.graph`), the ones belief propagation runs.
+
+Training and inference share one message loop. Training keeps a tape: each
+iteration's embeddings and every MLP layer's input, T x 3 activation caches
+of shape (2E, hidden) that the backward pass reads. Inference (:func:`forward`,
+and ``train.batch_loss``) keeps no tape: every hidden layer of A1, A2 and A3
+is written into one of two (2E, widest hidden) buffers, allocated once per
+call and reused across the T iterations, so the activations an inference
+call allocates do not grow with T. Both paths run the same arithmetic and
+give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -73,8 +82,23 @@ class Mlp:
     def out_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self.apply_cached(x)
+    def apply(self, x: np.ndarray, scratch: tuple | None = None) -> np.ndarray:
+        """Forward without a cache. With ``scratch``, two flat buffers of at
+        least rows x widest hidden layer elements, hidden layer i is written
+        into ``scratch[i % 2]`` instead of a fresh array; the arithmetic is
+        :meth:`apply_cached`'s, and the output is always a fresh array."""
+        if scratch is None:
+            out, _ = self.apply_cached(x)
+            return out
+        rows = x.shape[0]
+        for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
+            z = scratch[i % 2][: rows * w.shape[0]].reshape(rows, w.shape[0])
+            np.matmul(x, w.T, out=z)
+            z += b
+            np.maximum(z, 0.0, out=z)
+            x = z
+        out = x @ self.weights[-1].T
+        out += self.biases[-1]
         return out
 
     def apply_cached(self, x: np.ndarray):
@@ -108,7 +132,7 @@ class Mlp:
 class Identity:
     """Exact identity map, used by the BP-reduction configuration."""
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, scratch=None) -> np.ndarray:
         return x
 
     def apply_cached(self, x: np.ndarray):
@@ -119,7 +143,7 @@ class PairNormalize:
     """Exact log-normalization a - log(exp(a) + exp(b)) over a (cur, flip)
     concatenated input; the BP-reduction form of the combine network."""
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, scratch=None) -> np.ndarray:
         d = x.shape[1] // 2
         return x[:, :d] - np.logaddexp(x[:, :d], x[:, d:])
 
@@ -308,20 +332,45 @@ def satisfying_lse(graph: FactorGraph, v2c: np.ndarray):
     return u, lp, delta_c, grad_pass
 
 
-def _message_iteration(graph: FactorGraph, params: ModelParams, c2v: np.ndarray):
-    """One round of updates; returns (v2c, c2v, iteration tape)."""
+def _apply(net: Net, x: np.ndarray, scratch: tuple | None):
+    """``net(x)`` and its backward cache; with ``scratch`` (no tape), no cache."""
+    if scratch is None:
+        return net.apply_cached(x)
+    return net.apply(x, scratch), None
+
+
+def _message_iteration(
+    graph: FactorGraph, params: ModelParams, c2v: np.ndarray, scratch: tuple | None = None
+):
+    """One round of updates; returns (v2c, c2v, iteration tape). With
+    ``scratch`` the MLPs' hidden layers go into its two buffers and the
+    iteration tape is None."""
     E, d = graph.num_incidences, params.d
     s1 = graph.var_others_sum(c2v)
-    t_flat, c1 = params.a1.apply_cached(s1.reshape(2 * E, d))
+    t_flat, c1 = _apply(params.a1, s1.reshape(2 * E, d), scratch)
     t = t_flat.reshape(E, 2, d)
     pair = np.concatenate([t, t[:, ::-1]], axis=2)
-    v_flat, c2 = params.a2.apply_cached(pair.reshape(2 * E, 2 * d))
+    v_flat, c2 = _apply(params.a2, pair.reshape(2 * E, 2 * d), scratch)
     v2c = v_flat.reshape(E, 2, d)
 
     u, lp, delta_c, grad_pass = satisfying_lse(graph, v2c)
-    c2v_flat, c3 = params.a3.apply_cached(u.reshape(2 * E, d))
+    c2v_flat, c3 = _apply(params.a3, u.reshape(2 * E, d), scratch)
     c2v_new = c2v_flat.reshape(E, 2, d)
+    if scratch is not None:
+        return v2c, c2v_new, None
     return v2c, c2v_new, _IterTape(c1, c2, c3, v2c, lp, delta_c, grad_pass)
+
+
+def _scratch(params: ModelParams, rows: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Two flat buffers for the hidden layers of A1, A2 and A3 on ``rows``
+    rows, in the dtype their matmuls produce from ``dtype`` inputs."""
+    hidden = [
+        w for net in (params.a1, params.a2, params.a3) if isinstance(net, Mlp)
+        for w in net.weights[:-1]
+    ]
+    size = rows * max((w.shape[0] for w in hidden), default=0)
+    dtype = np.result_type(dtype, *hidden)
+    return np.empty(size, dtype), np.empty(size, dtype)
 
 
 def _forward(
@@ -332,12 +381,16 @@ def _forward(
     factor_cap: int = DEFAULT_FACTOR_ENUM_CAP,
     var_inst: np.ndarray | None = None,
     clause_inst: np.ndarray | None = None,
+    keep_tape: bool = True,
 ) -> _Tape:
     """Run T iterations plus readouts, keeping everything backward needs.
 
     ``var_inst``/``clause_inst`` map variables and clauses to instance ids
     when the graph is a disjoint union of several formulas; ln Z then comes
-    out per instance. By default everything is instance 0.
+    out per instance. By default everything is instance 0. Without
+    ``keep_tape`` the message loop records nothing (``iters`` stays empty)
+    and writes the MLPs' hidden layers into two buffers allocated here, so
+    :func:`backward` refuses the tape; its outputs are the same values.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
@@ -353,10 +406,12 @@ def _forward(
 
     c2v = np.broadcast_to(params.h2, (E, 2, d)).copy()
     v2c = np.broadcast_to(params.h1, (E, 2, d)).copy()
+    scratch = None if keep_tape else _scratch(params, 2 * E, c2v.dtype)
     iters: list[_IterTape] = []
     for _ in range(T):
-        v2c, c2v, it = _message_iteration(graph, params, c2v)
-        iters.append(it)
+        v2c, c2v, it = _message_iteration(graph, params, c2v, scratch)
+        if keep_tape:
+            iters.append(it)
 
     # variable readout: sum incoming c2v per assignment node, then a two-way
     # softmax over the value axis
@@ -401,8 +456,16 @@ def forward(
     With ``with_count`` the factor-belief readout and the ln Z estimate are
     computed as well, which requires every clause length to be at most
     ``factor_cap`` (marginals have no such restriction).
+
+    Keeps no tape: besides its outputs and each iteration's (E, 2, d)
+    temporaries, freed as the loop moves on, a call allocates two
+    (2E, widest hidden) buffers that every hidden layer of A1, A2 and A3
+    reuses, so its peak memory does not grow with T. The numbers are the
+    training forward's, bit for bit.
     """
-    tape = _forward(graph, params, T, want_count=with_count, factor_cap=factor_cap)
+    tape = _forward(
+        graph, params, T, want_count=with_count, factor_cap=factor_cap, keep_tape=False
+    )
     marginals = np.exp(tape.lbv[:, 1])
     factor_beliefs = None
     ln_z = None
@@ -435,6 +498,8 @@ def backward(
     for name, net in params.nets():
         if not isinstance(net, Mlp):
             raise ValueError(f"backward needs MLP networks, {name} is {type(net).__name__}")
+    if len(tape.iters) != tape.T:
+        raise ValueError("backward needs a tape kept by _forward(keep_tape=True)")
     graph = tape.graph
     E = graph.num_incidences
     n, d = graph.num_vars, tape.d

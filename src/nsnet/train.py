@@ -147,7 +147,10 @@ def _merge_graphs(
 
 
 def _batch_forward(
-    batch: list[LabeledInstance], params: net.ModelParams, config: TrainConfig
+    batch: list[LabeledInstance],
+    params: net.ModelParams,
+    config: TrainConfig,
+    keep_tape: bool = True,
 ):
     graphs = [inst.factor_graph() for inst in batch]
     want_count = config.task == "counting"
@@ -155,6 +158,7 @@ def _batch_forward(
     tape = net._forward(
         merged, params, config.T, want_count=want_count,
         factor_cap=config.factor_cap, var_inst=var_inst, clause_inst=clause_inst,
+        keep_tape=keep_tape,
     )
     return tape, var_inst
 
@@ -185,8 +189,13 @@ def _batch_loss_parts(batch, tape, var_inst, config):
 def batch_loss(
     batch: list[LabeledInstance], params: net.ModelParams, config: TrainConfig
 ) -> float:
-    """Mean loss of a batch (no gradients)."""
-    tape, var_inst = _batch_forward(batch, params, config)
+    """Mean loss of a batch (no gradients).
+
+    Runs the forward without a tape, as ``net.forward`` does: the MLPs'
+    hidden layers reuse two buffers across the T iterations, and the value
+    is the one :func:`grad` reports for the same batch.
+    """
+    tape, var_inst = _batch_forward(batch, params, config, keep_tape=False)
     per_inst, _, _ = _batch_loss_parts(batch, tape, var_inst, config)
     return float(per_inst.mean())
 
@@ -223,6 +232,11 @@ class OptimizerState:
         )
 
 
+def _global_sq_norm(grads: dict[str, np.ndarray]) -> float:
+    with np.errstate(over="ignore"):
+        return sum(float(np.sum(g * g)) for g in grads.values())
+
+
 def clip_global_norm(
     grads: dict[str, np.ndarray], max_norm: float, step: int | None = None
 ) -> dict[str, np.ndarray]:
@@ -233,8 +247,7 @@ def clip_global_norm(
     with a warning naming optimizer step ``step``, rather than poisoning the
     parameters with NaN.
     """
-    with np.errstate(over="ignore"):
-        total_sq = sum(float(np.sum(g * g)) for g in grads.values())
+    total_sq = _global_sq_norm(grads)
     if not math.isfinite(total_sq):
         log.warning("non-finite gradient norm at step %s; gradient zeroed", step)
         return {k: np.zeros_like(g) for k, g in grads.items()}
@@ -252,8 +265,17 @@ def adam_step(
     config: TrainConfig,
 ) -> tuple[net.ModelParams, OptimizerState]:
     """One Adam update after global-norm clipping, with L2 weight decay
-    (lambda * w added to the clipped gradient)."""
+    (lambda * w added to the clipped gradient).
+
+    A gradient with a non-finite global norm skips the step: ``params`` and
+    ``state`` come back unchanged (the same objects, step count included),
+    with a warning naming the step. Moment decay and weight decay would
+    otherwise still move the weights on a zeroed gradient.
+    """
     t = state.step + 1
+    if not math.isfinite(_global_sq_norm(grads)):
+        log.warning("non-finite gradient norm at step %s; step skipped", t)
+        return params, state
     grads = clip_global_norm(grads, config.clip_norm, t)
     new_params = params.copy()
     arrays = dict(new_params.param_items())

@@ -22,6 +22,17 @@ from nsnet.oracle import enumerate_models
 F0 = CnfFormula(3, ((1, -2), (1, 3), (-1, 2, 3)))
 
 
+def inference_corpus() -> dict[str, CnfFormula]:
+    """Formulas reaching every branch of the forward pass: random 3-SAT, unit
+    clauses (the unit floor), isolated variables, and no clauses (E = 0)."""
+    return {
+        "3sat": random_formula(np.random.default_rng(21), 20, 74, min_len=3, max_len=3),
+        "units": CnfFormula(6, ((1,), (-2,), (1, 3, -4), (2, -5, 6), (-3, 4), (5, -6, -1))),
+        "isolated": CnfFormula(7, ((1, -2, 3), (-1, 4), (2, -4, 3))),
+        "empty": CnfFormula(3, ()),
+    }
+
+
 def random_formula(rng, n, m, min_len=1, max_len=4):
     """Random CNF with distinct variables per clause. Not necessarily SAT."""
     clauses = []

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,84 @@ class TestForward:
             b = forward(build_factor_graph(shuffled), params, 6)
             assert np.abs(a.marginals - b.marginals).max() <= 1e-9
             assert a.ln_z == pytest.approx(b.ln_z, abs=1e-9)
+
+
+def _cast(params, dtype):
+    p = params.copy()
+    p.h1 = p.h1.astype(dtype)
+    p.h2 = p.h2.astype(dtype)
+    for _, mlp in p.nets():
+        mlp.weights = [w.astype(dtype) for w in mlp.weights]
+        mlp.biases = [b.astype(dtype) for b in mlp.biases]
+    return p
+
+
+class TestTapeFree:
+    """``forward`` runs the message loop without a tape, reusing its hidden
+    layer buffers; it must give the training forward's numbers bit for bit."""
+
+    @staticmethod
+    def assert_equals_tape_path(graph, params, T, with_count):
+        out = forward(graph, params, T, with_count=with_count)
+        tape = net._forward(graph, params, T, want_count=with_count)
+        assert out.marginals.dtype == tape.lbv.dtype
+        assert np.array_equal(out.marginals, np.exp(tape.lbv[:, 1]), equal_nan=True)
+        if with_count:
+            starts = tape.plan.row_start
+            for a, beliefs in enumerate(out.factor_beliefs):
+                assert np.array_equal(beliefs, tape.lbf[starts[a]: starts[a + 1]], equal_nan=True)
+            assert np.array_equal(out.ln_z, tape.ln_z[0], equal_nan=True)
+        else:
+            assert out.ln_z is None and out.factor_beliefs is None
+
+    @pytest.mark.parametrize("params_name", ["d16", "d4", "reduction"])
+    def test_forward_equals_tape_path(self, params_name):
+        params = {
+            "d16": lambda: init_params(16, 0),
+            "d4": lambda: init_params(4, 1),
+            "reduction": bp_reduction_params,
+        }[params_name]()
+        for formula in helpers.inference_corpus().values():
+            graph = build_factor_graph(formula)
+            for T in (0, 1, 10):
+                for with_count in (True, False):
+                    self.assert_equals_tape_path(graph, params, T, with_count)
+
+    def test_float32_stays_float32(self):
+        # a buffer allocated as float64 would upcast the float32 MLPs silently
+        params = _cast(init_params(16, 0), np.float32)
+        for name, formula in helpers.inference_corpus().items():
+            graph = build_factor_graph(formula)
+            for with_count in (True, False):
+                out = forward(graph, params, 10, with_count=with_count)
+                assert out.marginals.dtype == np.float32, name
+                if with_count:
+                    assert all(b.dtype == np.float32 for b in out.factor_beliefs), name
+                self.assert_equals_tape_path(graph, params, 10, with_count)
+
+    def test_peak_memory_does_not_grow_with_T(self):
+        graph = build_factor_graph(
+            helpers.random_formula(np.random.default_rng(3), 100, 370, min_len=3, max_len=3)
+        )
+        params = init_params(16, 0)
+        forward(graph, params, 2, with_count=False)  # build the graph's cached plans
+
+        def peak(T):
+            tracemalloc.start()
+            try:
+                forward(graph, params, T, with_count=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10) <= 1.1 * peak(2)
+
+    def test_backward_refuses_tape_free_run(self):
+        graph = build_factor_graph(helpers.F0)
+        params = init_params(4, 1, hidden=8)
+        tape = net._forward(graph, params, 3, want_count=False, keep_tape=False)
+        with pytest.raises(ValueError, match="keep_tape"):
+            net.backward(tape, params, dlbv=np.ones((3, 2)))
 
 
 class TestEquivariance:

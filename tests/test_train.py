@@ -192,6 +192,19 @@ class TestAdam:
         assert np.all(clipped["a"] == 0.0)
         assert np.all(clipped["b"] == 0.0)
 
+    def test_nonfinite_gradient_leaves_weights_and_moments(self):
+        params = net.init_params(2, seed=0, hidden=4)
+        config = TrainConfig()
+        small = {k: np.full_like(v, 0.01) for k, v in params.param_items()}
+        params, state = adam_step(params, small, OptimizerState.initial(params), config)
+        nan = {k: np.full_like(v, np.nan) for k, v in params.param_items()}
+        after, after_state = adam_step(params, nan, state, config)
+        assert after_state.step == state.step
+        for (name, a), (_, b) in zip(params.param_items(), after.param_items()):
+            assert np.array_equal(a, b), name
+            assert np.array_equal(state.m[name], after_state.m[name]), name
+            assert np.array_equal(state.v[name], after_state.v[name]), name
+
     def test_nonfinite_gradient_is_logged_with_its_step(self, caplog):
         params = net.init_params(1, seed=0, hidden=16)
         grads = {k: np.full_like(v, np.nan) for k, v in params.param_items()}
@@ -328,6 +341,24 @@ class TestBatchLoss:
         assert batch_loss([inst], params, config) == pytest.approx(
             kl_loss(out.marginals, inst.marginals), abs=1e-12
         )
+
+    @pytest.mark.parametrize("task", ["marginals", "counting"])
+    def test_equals_tape_path(self, task):
+        from nsnet.train import _batch_forward, _batch_loss_parts
+
+        rng = np.random.default_rng(7)
+        batch = [
+            LabeledInstance(f, marginals=rng.uniform(size=f.num_vars), ln_count=1.5)
+            for f in helpers.inference_corpus().values()
+        ]
+        for params in (net.init_params(16, 0), net.init_params(4, 1), net.bp_reduction_params()):
+            for T in (0, 1, 10):
+                config = TrainConfig(task=task, d=params.d, T=T)
+                for chunk in [batch] + [[inst] for inst in batch]:
+                    tape, var_inst = _batch_forward(chunk, params, config, keep_tape=True)
+                    per_inst, _, _ = _batch_loss_parts(chunk, tape, var_inst, config)
+                    expected = float(per_inst.mean())
+                    assert np.array_equal(batch_loss(chunk, params, config), expected, equal_nan=True)
 
 
 class TestMergedGraph:
