@@ -241,7 +241,8 @@ def bethe_sum(
     ``var_inst``/``clause_inst`` map a disjoint union's variables and clauses
     to instances; without them the graph is one instance."""
     factor = -np.exp(lbf) * lbf
-    var = (graph.var_degree - 1) * np.sum(np.exp(lbv) * lbv, axis=1)
+    weights = (graph.var_degree - 1).astype(lbv.dtype)  # small ints convert exactly
+    var = weights * np.sum(np.exp(lbv) * lbv, axis=1)
     if var_inst is None:
         return np.array([np.sum(factor) + np.sum(var)])
     ln_z = np.zeros(n_inst, dtype=var.dtype)

@@ -19,14 +19,18 @@ it to brute-force enumeration. Every sum over incidences, and the readouts'
 per-clause normalization and Bethe sum, are the factor graph's shared
 reductions (see :mod:`nsnet.graph`), the ones belief propagation runs.
 
-Training and inference share one message loop. Training keeps a tape: each
-iteration's embeddings and every MLP layer's input, T x 3 activation caches
-of shape (2E, hidden) that the backward pass reads. Inference (:func:`forward`,
-and ``train.batch_loss``) keeps no tape: every hidden layer of A1, A2 and A3
-is written into one of two (2E, widest hidden) buffers, allocated once per
-call and reused across the T iterations, so the activations an inference
-call allocates do not grow with T. Both paths run the same arithmetic and
-give bit-identical outputs.
+Training and inference share one message loop, and in both every hidden
+layer of A1, A2 and A3 is written into one of two (2E, widest hidden)
+buffers, allocated once per call and reused across the T iterations.
+Inference (:func:`forward`, and ``train.batch_loss``) keeps no tape, so the
+activations it allocates do not grow with T. Training keeps a tape of each
+iteration's MLP inputs and the intermediates of the satisfying-completion
+LSE, about 10 values per incidence and embedding coordinate. The backward
+pass recomputes each MLP's hidden layers from its input, into work buffers
+allocated once per call (activation recomputation, as in Chen et al.,
+*Training Deep Nets with Sublinear Memory Cost*), so the tape holds no
+(2E, hidden) activations. Both paths run the same arithmetic and give
+bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -82,18 +86,18 @@ class Mlp:
     def out_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    def apply(self, x: np.ndarray, scratch: tuple | None = None) -> np.ndarray:
-        """Forward without a cache. With ``scratch``, two flat buffers of at
-        least rows x widest hidden layer elements, hidden layer i is written
-        into ``scratch[i % 2]`` instead of a fresh array; the arithmetic is
-        :meth:`apply_cached`'s, and the output is always a fresh array."""
-        if scratch is None:
-            out, _ = self.apply_cached(x)
-            return out
+    def apply(self, x: np.ndarray, scratch: list | None = None) -> np.ndarray:
+        """Forward. With ``scratch``, two flat buffers of at least rows x
+        widest hidden layer elements, hidden layer i is written into
+        ``scratch[i % 2]`` instead of a fresh array; the arithmetic is the
+        same, and the output is always a fresh array."""
         rows = x.shape[0]
         for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-            z = scratch[i % 2][: rows * w.shape[0]].reshape(rows, w.shape[0])
-            np.matmul(x, w.T, out=z)
+            if scratch is None:
+                z = x @ w.T
+            else:
+                z = scratch[i % 2][: rows * w.shape[0]].reshape(rows, w.shape[0])
+                np.matmul(x, w.T, out=z)
             z += b
             np.maximum(z, 0.0, out=z)
             x = z
@@ -101,32 +105,32 @@ class Mlp:
         out += self.biases[-1]
         return out
 
-    def apply_cached(self, x: np.ndarray):
-        """Forward keeping per-layer inputs, for the hand-rolled backward."""
-        cache = [x]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = x @ w.T
+    def backward(self, dy: np.ndarray, x: np.ndarray, grads, name: str, work: list):
+        """Accumulate the parameter grads of output grad ``dy`` at input ``x``
+        into ``grads`` and return the input grad. Hidden layer i is
+        recomputed into ``work[i]`` (see :func:`_work`), whose last, boolean
+        buffer takes each ReLU mask; a layer's input grad then overwrites it."""
+        rows = x.shape[0]
+        mask_buf = work[-1]
+        layers = [x]
+        for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
+            z = work[i][: rows * w.shape[0]].reshape(rows, w.shape[0])
+            np.matmul(layers[-1], w.T, out=z)
             z += b
             np.maximum(z, 0.0, out=z)
-            x = z
-            cache.append(x)
-        out = x @ self.weights[-1].T
-        out += self.biases[-1]
-        return out, cache
-
-    def backward(self, dy: np.ndarray, cache: list[np.ndarray], grads, name: str):
-        """Accumulate parameter grads into ``grads`` and return the input grad."""
-        last = len(self.weights) - 1
-        grads[f"{name}.w{last}"] += dy.T @ cache[last]
-        grads[f"{name}.b{last}"] += dy.sum(axis=0)
-        dx = dy @ self.weights[last]
-        for layer in range(last - 1, -1, -1):
-            dz = dx
-            dz *= cache[layer + 1] > 0  # dx is a fresh intermediate here
-            grads[f"{name}.w{layer}"] += dz.T @ cache[layer]
+            layers.append(z)
+        dz = dy
+        for layer in range(len(self.weights) - 1, 0, -1):
+            h = layers[layer]
+            grads[f"{name}.w{layer}"] += dz.T @ h
             grads[f"{name}.b{layer}"] += dz.sum(axis=0)
-            dx = dz @ self.weights[layer]
-        return dx
+            mask = mask_buf[: h.size].reshape(h.shape)
+            np.greater(h, 0, out=mask)
+            dz = np.matmul(dz, self.weights[layer], out=h)
+            dz *= mask
+        grads[f"{name}.w0"] += dz.T @ x
+        grads[f"{name}.b0"] += dz.sum(axis=0)
+        return dz @ self.weights[0]
 
 
 class Identity:
@@ -134,9 +138,6 @@ class Identity:
 
     def apply(self, x: np.ndarray, scratch=None) -> np.ndarray:
         return x
-
-    def apply_cached(self, x: np.ndarray):
-        return x, None
 
 
 class PairNormalize:
@@ -146,9 +147,6 @@ class PairNormalize:
     def apply(self, x: np.ndarray, scratch=None) -> np.ndarray:
         d = x.shape[1] // 2
         return x[:, :d] - np.logaddexp(x[:, :d], x[:, d:])
-
-    def apply_cached(self, x: np.ndarray):
-        return self.apply(x), None
 
 
 Net = Mlp | Identity | PairNormalize
@@ -272,9 +270,11 @@ class NsnetOutput:
 
 @dataclass
 class _IterTape:
-    c1: list | None
-    c2: list | None
-    c3: list | None
+    """One iteration's MLP inputs and the intermediates of satisfying_lse."""
+
+    s1: np.ndarray  # (E, 2, d) A1 input
+    t: np.ndarray  # (E, 2, d) A1 output; A2's input pairs it with its flip
+    u: np.ndarray  # (E, 2, d) A3 input
     v2c: np.ndarray
     lp: np.ndarray
     delta_c: np.ndarray
@@ -288,11 +288,11 @@ class _Tape:
     T: int
     iters: list[_IterTape]
     lbv: np.ndarray  # (n, 2) variable log beliefs
-    c_rvar: list | None
+    sv: np.ndarray  # (n, 2, d) variable readout input
     want_count: bool
     plan: EnumPlan | None = None
     lbf: np.ndarray | None = None  # (R,) factor log beliefs
-    c_rfac: list | None = None
+    sf: np.ndarray | None = None  # (R, d) factor readout input
     ln_z: np.ndarray | None = None  # (k,) per-instance
     var_inst: np.ndarray | None = None
     clause_inst: np.ndarray | None = None
@@ -332,45 +332,45 @@ def satisfying_lse(graph: FactorGraph, v2c: np.ndarray):
     return u, lp, delta_c, grad_pass
 
 
-def _apply(net: Net, x: np.ndarray, scratch: tuple | None):
-    """``net(x)`` and its backward cache; with ``scratch`` (no tape), no cache."""
-    if scratch is None:
-        return net.apply_cached(x)
-    return net.apply(x, scratch), None
+def _pair(t: np.ndarray) -> np.ndarray:
+    """A2's (2E, 2d) input: each slot's A1 output next to its flipped value's."""
+    E, _, d = t.shape
+    return np.concatenate([t, t[:, ::-1]], axis=2).reshape(2 * E, 2 * d)
 
 
 def _message_iteration(
-    graph: FactorGraph, params: ModelParams, c2v: np.ndarray, scratch: tuple | None = None
+    graph: FactorGraph, params: ModelParams, c2v: np.ndarray, scratch: list, keep_tape: bool
 ):
-    """One round of updates; returns (v2c, c2v, iteration tape). With
-    ``scratch`` the MLPs' hidden layers go into its two buffers and the
-    iteration tape is None."""
+    """One round of updates; returns (v2c, c2v, iteration tape). The MLPs'
+    hidden layers go into the two ``scratch`` buffers; the iteration tape,
+    None without ``keep_tape``, records the MLPs' inputs."""
     E, d = graph.num_incidences, params.d
     s1 = graph.var_others_sum(c2v)
-    t_flat, c1 = _apply(params.a1, s1.reshape(2 * E, d), scratch)
-    t = t_flat.reshape(E, 2, d)
-    pair = np.concatenate([t, t[:, ::-1]], axis=2)
-    v_flat, c2 = _apply(params.a2, pair.reshape(2 * E, 2 * d), scratch)
-    v2c = v_flat.reshape(E, 2, d)
-
+    t = params.a1.apply(s1.reshape(2 * E, d), scratch).reshape(E, 2, d)
+    v2c = params.a2.apply(_pair(t), scratch).reshape(E, 2, d)
     u, lp, delta_c, grad_pass = satisfying_lse(graph, v2c)
-    c2v_flat, c3 = _apply(params.a3, u.reshape(2 * E, d), scratch)
-    c2v_new = c2v_flat.reshape(E, 2, d)
-    if scratch is not None:
+    c2v_new = params.a3.apply(u.reshape(2 * E, d), scratch).reshape(E, 2, d)
+    if not keep_tape:
         return v2c, c2v_new, None
-    return v2c, c2v_new, _IterTape(c1, c2, c3, v2c, lp, delta_c, grad_pass)
+    return v2c, c2v_new, _IterTape(s1, t, u, v2c, lp, delta_c, grad_pass)
 
 
-def _scratch(params: ModelParams, rows: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Two flat buffers for the hidden layers of A1, A2 and A3 on ``rows``
-    rows, in the dtype their matmuls produce from ``dtype`` inputs."""
-    hidden = [
-        w for net in (params.a1, params.a2, params.a3) if isinstance(net, Mlp)
-        for w in net.weights[:-1]
-    ]
+def _hidden_buffers(nets, rows: int, dtype, count: int) -> list[np.ndarray]:
+    """``count`` flat buffers, each able to hold any hidden layer of the MLPs
+    among ``nets`` on ``rows`` rows, in the dtype their matmuls produce from
+    ``dtype`` inputs."""
+    hidden = [w for net in nets if isinstance(net, Mlp) for w in net.weights[:-1]]
     size = rows * max((w.shape[0] for w in hidden), default=0)
     dtype = np.result_type(dtype, *hidden)
-    return np.empty(size, dtype), np.empty(size, dtype)
+    return [np.empty(size, dtype) for _ in range(count)]
+
+
+def _work(nets, rows: int, dtype) -> list[np.ndarray]:
+    """Work buffers for :meth:`Mlp.backward` on up to ``rows`` rows: one per
+    hidden layer of the deepest MLP among ``nets``, then a boolean one."""
+    depth = max((len(net.weights) - 1 for net in nets if isinstance(net, Mlp)), default=0)
+    bufs = _hidden_buffers(nets, rows, dtype, depth)
+    return bufs + [np.empty(bufs[0].size if bufs else 0, dtype=bool)]
 
 
 def _forward(
@@ -383,14 +383,16 @@ def _forward(
     clause_inst: np.ndarray | None = None,
     keep_tape: bool = True,
 ) -> _Tape:
-    """Run T iterations plus readouts, keeping everything backward needs.
+    """Run T iterations plus readouts.
 
     ``var_inst``/``clause_inst`` map variables and clauses to instance ids
     when the graph is a disjoint union of several formulas; ln Z then comes
-    out per instance. By default everything is instance 0. Without
-    ``keep_tape`` the message loop records nothing (``iters`` stays empty)
-    and writes the MLPs' hidden layers into two buffers allocated here, so
-    :func:`backward` refuses the tape; its outputs are the same values.
+    out per instance. By default everything is instance 0. The hidden
+    layers of A1, A2 and A3 go into two buffers allocated here. With
+    ``keep_tape`` each iteration records the MLPs' inputs and the
+    intermediates :func:`backward` needs, and the tape keeps the readouts'
+    inputs; without it ``iters`` stays empty and :func:`backward` refuses
+    the tape. Either way the outputs are the same values.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
@@ -406,17 +408,17 @@ def _forward(
 
     c2v = np.broadcast_to(params.h2, (E, 2, d)).copy()
     v2c = np.broadcast_to(params.h1, (E, 2, d)).copy()
-    scratch = None if keep_tape else _scratch(params, 2 * E, c2v.dtype)
+    scratch = _hidden_buffers((params.a1, params.a2, params.a3), 2 * E, c2v.dtype, 2)
     iters: list[_IterTape] = []
     for _ in range(T):
-        v2c, c2v, it = _message_iteration(graph, params, c2v, scratch)
+        v2c, c2v, it = _message_iteration(graph, params, c2v, scratch, keep_tape)
         if keep_tape:
             iters.append(it)
 
     # variable readout: sum incoming c2v per assignment node, then a two-way
     # softmax over the value axis
     sv = graph.var_sum(c2v)
-    rv_flat, c_rvar = params.r_var.apply_cached(sv.reshape(2 * n, d))
+    rv_flat = params.r_var.apply(sv.reshape(2 * n, d))
     rv = rv_flat.reshape(n, 2)
     lbv = rv - np.logaddexp(rv[:, 0], rv[:, 1])[:, None]
 
@@ -426,7 +428,7 @@ def _forward(
         T=T,
         iters=iters,
         lbv=lbv,
-        c_rvar=c_rvar,
+        sv=sv,
         want_count=want_count,
         var_inst=var_inst,
         clause_inst=clause_inst,
@@ -435,11 +437,12 @@ def _forward(
 
     if want_count:
         plan = graph.satisfying_enumeration(factor_cap)
-        rf_col, c_rfac = params.r_fac.apply_cached(plan.row_sums(v2c))
+        sf = plan.row_sums(v2c)
+        rf_col = params.r_fac.apply(sf)
         lbf = plan.log_normalize(rf_col[:, 0])
         tape.plan = plan
         tape.lbf = lbf
-        tape.c_rfac = c_rfac
+        tape.sf = sf
         tape.ln_z = bethe_sum(graph, plan, lbf, lbv, var_inst, clause_inst, n_inst)
     return tape
 
@@ -460,8 +463,8 @@ def forward(
     Keeps no tape: besides its outputs and each iteration's (E, 2, d)
     temporaries, freed as the loop moves on, a call allocates two
     (2E, widest hidden) buffers that every hidden layer of A1, A2 and A3
-    reuses, so its peak memory does not grow with T. The numbers are the
-    training forward's, bit for bit.
+    reuses, so its peak memory does not grow with T. The numbers are those
+    of the forward that keeps a tape for training, bit for bit.
     """
     tape = _forward(
         graph, params, T, want_count=with_count, factor_cap=factor_cap, keep_tape=False
@@ -492,8 +495,12 @@ def backward(
     """Reverse-mode pass through the unrolled iterations and readouts.
 
     ``dlbv`` is the loss gradient w.r.t. the variable log beliefs (n, 2);
-    ``dlnz`` w.r.t. the per-instance ln Z vector. Requires all five networks
+    ``dlnz`` w.r.t. the per-instance ln Z vector. Both are cast to the
+    tape's dtype, in which all of the pass runs. Requires all five networks
     to be MLPs (the exact reduction mode has no trainable parameters).
+
+    Each MLP's hidden layers are recomputed from the input the tape holds,
+    into one set of work buffers allocated here for the largest MLP call.
     """
     for name, net in params.nets():
         if not isinstance(net, Mlp):
@@ -505,41 +512,43 @@ def backward(
     n, d = graph.num_vars, tape.d
     ar = np.arange(E)
     sat, unsat = graph.sat_value, graph.unsat_value
+    dtype = tape.lbv.dtype
     grads = zero_grads(params)
 
-    if dlbv is None:
-        dlbv = np.zeros((n, 2))
-    else:
-        dlbv = dlbv.copy()
-
-    dv2c_final = np.zeros((E, 2, d))
-    dlnz_vec = np.asarray(dlnz, dtype=float)
+    dlbv = np.zeros((n, 2), dtype) if dlbv is None else np.array(dlbv, dtype=dtype)
+    dv2c_final = np.zeros((E, 2, d), dtype)
+    dlnz_vec = np.asarray(dlnz, dtype=dtype)
     if dlnz_vec.ndim == 0:
-        dlnz_vec = np.full(tape.n_inst, float(dlnz_vec))
-    if tape.want_count and np.any(dlnz_vec != 0.0):
+        dlnz_vec = np.full(tape.n_inst, dlnz_vec, dtype=dtype)
+    with_count = tape.want_count and bool(np.any(dlnz_vec != 0.0))
+    rows = max(2 * E, 2 * n, tape.plan.num_rows if with_count else 0)
+    work = _work([net for _, net in params.nets()], rows, dtype)
+    if with_count:
         assert tape.plan is not None and tape.lbf is not None
         plan, lbf = tape.plan, tape.lbf
-        weights = graph.var_degree - 1
+        weights = (graph.var_degree - 1).astype(dtype)
         dlbv += (dlnz_vec[tape.var_inst] * weights)[:, None] * (
             np.exp(tape.lbv) * (1.0 + tape.lbv)
         )
         dlbf = dlnz_vec[tape.clause_inst[plan.row_clause]] * (-np.exp(lbf) * (1.0 + lbf))
         # log-normalization per clause: lbf = rf - LSE(rf over the clause)
         drf = dlbf - np.exp(lbf) * np.take(plan.clause_sums(dlbf), plan.row_clause)
-        dsf = params.r_fac.backward(drf[:, None], tape.c_rfac, grads, "r_fac")
+        dsf = params.r_fac.backward(drf[:, None], tape.sf, grads, "r_fac", work)
         dv2c_final = plan.scatter_rows(dsf, E)
 
     # two-way softmax: lbv = rv - logaddexp(rv0, rv1)
     drv = dlbv - np.exp(tape.lbv) * dlbv.sum(axis=1, keepdims=True)
     dsv = params.r_var.backward(
-        drv.reshape(2 * n, 1), tape.c_rvar, grads, "r_var"
+        drv.reshape(2 * n, 1), tape.sv.reshape(2 * n, d), grads, "r_var", work
     ).reshape(n, 2, d)
     dc2v = np.take(dsv, graph.inc_var, axis=0)
 
     dv2c_pending = dv2c_final
     for k in range(tape.T - 1, -1, -1):
         it = tape.iters[k]
-        du = params.a3.backward(dc2v.reshape(2 * E, d), it.c3, grads, "a3").reshape(E, 2, d)
+        du = params.a3.backward(
+            dc2v.reshape(2 * E, d), it.u.reshape(2 * E, d), grads, "a3", work
+        ).reshape(E, 2, d)
         dexcl_tot = du[ar, sat].copy()
         # a unit clause's floor passes no gradient: clause_others_sum maps
         # its incidence's gradients to no other incidence
@@ -562,12 +571,14 @@ def backward(
         dv2c[:, 1] += dlp * w1
 
         dpair = params.a2.backward(
-            dv2c.reshape(2 * E, d), it.c2, grads, "a2"
+            dv2c.reshape(2 * E, d), _pair(it.t), grads, "a2", work
         ).reshape(E, 2, 2 * d)
         dt = dpair[:, :, :d] + dpair[:, ::-1, d:]
-        ds1 = params.a1.backward(dt.reshape(2 * E, d), it.c1, grads, "a1").reshape(E, 2, d)
+        ds1 = params.a1.backward(
+            dt.reshape(2 * E, d), it.s1.reshape(2 * E, d), grads, "a1", work
+        ).reshape(E, 2, d)
         dc2v = graph.var_others_sum(ds1)
-        dv2c_pending = np.zeros((E, 2, d))
+        dv2c_pending = np.zeros((E, 2, d), dtype)
 
     # initial embeddings: c2v starts at h2 everywhere; v2c's h1 start is
     # consumed only when T = 0 (the first iteration recomputes v2c)

@@ -33,6 +33,17 @@ def inference_corpus() -> dict[str, CnfFormula]:
     }
 
 
+def cast_params(params, dtype):
+    """A copy of ``params`` with every array cast to ``dtype``."""
+    p = params.copy()
+    p.h1 = p.h1.astype(dtype)
+    p.h2 = p.h2.astype(dtype)
+    for _, mlp in p.nets():
+        mlp.weights = [w.astype(dtype) for w in mlp.weights]
+        mlp.biases = [b.astype(dtype) for b in mlp.biases]
+    return p
+
+
 def random_formula(rng, n, m, min_len=1, max_len=4):
     """Random CNF with distinct variables per clause. Not necessarily SAT."""
     clauses = []
@@ -258,3 +269,37 @@ def looped_enumeration(graph, cap):
         "flat_value": flat_value,
     }
     return {"num_rows": r, **{k: np.asarray(v, dtype=np.int64) for k, v in fields.items()}}
+
+
+# ------------------------------------------------------------ MLP reference
+# The MLP backward as it was before it recomputed its hidden layers: the
+# forward keeps every layer's input, and the backward reads that cache.
+
+
+def mlp_apply_cached(mlp, x):
+    """Forward keeping per-layer inputs, for the hand-rolled backward."""
+    cache = [x]
+    for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+        z = x @ w.T
+        z += b
+        np.maximum(z, 0.0, out=z)
+        x = z
+        cache.append(x)
+    out = x @ mlp.weights[-1].T
+    out += mlp.biases[-1]
+    return out, cache
+
+
+def mlp_backward_cached(mlp, dy, cache, grads, name):
+    """Accumulate parameter grads into ``grads`` and return the input grad."""
+    last = len(mlp.weights) - 1
+    grads[f"{name}.w{last}"] += dy.T @ cache[last]
+    grads[f"{name}.b{last}"] += dy.sum(axis=0)
+    dx = dy @ mlp.weights[last]
+    for layer in range(last - 1, -1, -1):
+        dz = dx
+        dz *= cache[layer + 1] > 0  # dx is a fresh intermediate here
+        grads[f"{name}.w{layer}"] += dz.T @ cache[layer]
+        grads[f"{name}.b{layer}"] += dz.sum(axis=0)
+        dx = dz @ mlp.weights[layer]
+    return dx

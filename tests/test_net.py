@@ -189,14 +189,7 @@ class TestForward:
             assert a.ln_z == pytest.approx(b.ln_z, abs=1e-9)
 
 
-def _cast(params, dtype):
-    p = params.copy()
-    p.h1 = p.h1.astype(dtype)
-    p.h2 = p.h2.astype(dtype)
-    for _, mlp in p.nets():
-        mlp.weights = [w.astype(dtype) for w in mlp.weights]
-        mlp.biases = [b.astype(dtype) for b in mlp.biases]
-    return p
+_cast = helpers.cast_params
 
 
 class TestTapeFree:
@@ -265,6 +258,14 @@ class TestTapeFree:
         tape = net._forward(graph, params, 3, want_count=False, keep_tape=False)
         with pytest.raises(ValueError, match="keep_tape"):
             net.backward(tape, params, dlbv=np.ones((3, 2)))
+
+    def test_float32_ln_z(self):
+        # the Bethe sum's integer degree weights must not promote float32
+        params = _cast(init_params(16, 0), np.float32)
+        for name, formula in helpers.inference_corpus().items():
+            tape = net._forward(build_factor_graph(formula), params, 3, want_count=True)
+            assert tape.lbv.dtype == tape.lbf.dtype == np.float32, name
+            assert tape.ln_z.dtype == np.float32, name
 
 
 class TestEquivariance:
@@ -349,3 +350,33 @@ class TestMlp:
         hidden = np.maximum(x @ mlp.weights[0].T + mlp.biases[0], 0.0)
         expected = hidden @ mlp.weights[1].T + mlp.biases[1]
         assert np.allclose(mlp.apply(x), expected)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_matches_cached_reference(self, dtype):
+        # recomputing the hidden layers into work buffers must give the
+        # cache-based backward's gradients bit for bit
+        rng = np.random.default_rng(2)
+        for widths in ([5, 7, 9, 6, 3], [4, 16, 1], [3, 2]):
+            mlp = Mlp(
+                [rng.normal(size=(b, a)).astype(dtype) for a, b in zip(widths, widths[1:])],
+                [rng.normal(size=b).astype(dtype) for b in widths[1:]],
+            )
+            for rows in (1, 37):
+                x = rng.normal(size=(rows, widths[0])).astype(dtype)
+                dy = rng.normal(size=(rows, widths[-1])).astype(dtype)
+                out, cache = helpers.mlp_apply_cached(mlp, x)
+                assert np.array_equal(mlp.apply(x), out)
+                ref = {
+                    f"m.{k}{i}": np.zeros_like(a)
+                    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases))
+                    for k, a in (("w", w), ("b", b))
+                }
+                got = {k: a.copy() for k, a in ref.items()}
+                dx_ref = helpers.mlp_backward_cached(mlp, dy, cache, ref, "m")
+                work = net._work([mlp], rows + 3, dtype)
+                dx = mlp.backward(dy, x, got, "m", work)
+                assert dx.dtype == dtype
+                assert np.array_equal(dx, dx_ref), widths
+                for k in ref:
+                    assert got[k].dtype == dtype
+                    assert np.array_equal(got[k], ref[k]), (widths, k)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,13 +35,7 @@ def labeled(formula):
 
 
 def to_longdouble(params):
-    p = params.copy()
-    p.h1 = p.h1.astype(LD)
-    p.h2 = p.h2.astype(LD)
-    for _, n_ in p.nets():
-        n_.weights = [w.astype(LD) for w in n_.weights]
-        n_.biases = [b.astype(LD) for b in n_.biases]
-    return p
+    return helpers.cast_params(params, LD)
 
 
 class TestLosses:
@@ -152,6 +147,63 @@ class TestGrad:
         with pytest.raises(NonFiniteLossError) as err:
             grad([good, bad], params, config)
         assert err.value.instance_index == 1
+
+    @pytest.mark.parametrize("task", ["marginals", "counting"])
+    def test_float32_params_give_float32_gradients(self, task, monkeypatch):
+        # the parameter grads are float32 however the pass runs, since they
+        # accumulate into float32 arrays; the MLPs' gradient dtypes show it
+        dtypes = set()
+        mlp_backward = net.Mlp.backward
+
+        def spy(self, dy, *args):
+            dx = mlp_backward(self, dy, *args)
+            dtypes.update((dy.dtype, dx.dtype))
+            return dx
+
+        rng = np.random.default_rng(3)
+        batch = []
+        while len(batch) < 3:
+            f = helpers.random_formula(rng, int(rng.integers(5, 9)), 12, min_len=2)
+            if oracle.satisfiable(f):
+                batch.append(labeled(f))
+        params = net.init_params(16, 0)
+        config = TrainConfig(task=task, d=16, T=10)
+        g64, _ = grad(batch, params, config)
+        monkeypatch.setattr(net.Mlp, "backward", spy)
+        g32, _ = grad(batch, helpers.cast_params(params, np.float32), config)
+        assert dtypes == {np.dtype(np.float32)}
+        diff = norm = 0.0
+        for name, g in g64.items():
+            assert g32[name].dtype == np.float32, name
+            assert np.isfinite(g32[name]).all(), name
+            diff += float(np.sum((g32[name].astype(float) - g) ** 2))
+            norm += float(np.sum(g * g))
+        assert math.sqrt(diff) <= 1e-3 * math.sqrt(norm)
+
+    def test_tape_memory_per_iteration(self):
+        # the tape keeps each iteration's MLP inputs and satisfying_lse's
+        # intermediates, about 10 values per incidence per embedding
+        # coordinate; keeping the MLPs' hidden layers as well takes about 84
+        rng = np.random.default_rng(5)
+        batch = [
+            LabeledInstance(helpers.random_formula(rng, 30, 75, min_len=2, max_len=5), ln_count=1.0)
+            for _ in range(4)
+        ]
+        E = sum(inst.factor_graph().num_incidences for inst in batch)
+        params = net.init_params(16, 0)
+
+        def peak(T):
+            config = TrainConfig(task="counting", d=16, T=T)
+            tracemalloc.start()
+            try:
+                grad(batch, params, config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call costs
+        per_iter = (peak(10) - peak(2)) / 8
+        assert per_iter <= 16 * E * 16 * params.h1.itemsize
 
 
 class TestAdam:
