@@ -60,21 +60,23 @@ class BpState:
 
 
 def _saturate(x: np.ndarray) -> np.ndarray:
-    return np.where(x < SATURATION, LOG_ZERO, x)
+    """Clamp entries below the saturation threshold to ``LOG_ZERO``, in place."""
+    np.putmask(x, x < SATURATION, LOG_ZERO)
+    return x
 
 
 def _normalize_pairs(raw: np.ndarray) -> np.ndarray:
-    """Normalize (E, 2) log pairs so exp values sum to 1.
+    """Normalize (E, 2) log pairs in place so exp values sum to 1.
 
     Pairs whose total mass underflows (both entries saturated, as happens on
     contradictory evidence) fall back to the uniform pair.
     """
     z = np.logaddexp(raw[:, 0], raw[:, 1])
-    out = raw - z[:, None]
+    raw -= z[:, None]
     degenerate = z < SATURATION
     if degenerate.any():
-        out[degenerate] = LOG_HALF
-    return _saturate(out)
+        raw[degenerate] = LOG_HALF
+    return _saturate(raw)
 
 
 def _v2c_update(graph: FactorGraph, c2v: np.ndarray) -> np.ndarray:
@@ -85,9 +87,12 @@ def _v2c_update(graph: FactorGraph, c2v: np.ndarray) -> np.ndarray:
     with zero-probability messages counted apart from the finite total: a
     -1e30 in the total would absorb the finite part and leave a zero
     entry's own excluded sum at 0. A sum that excludes a zero entry is
-    ``LOG_ZERO``.
+    ``LOG_ZERO``. Without zero entries the count is zero everywhere and
+    is skipped.
     """
     zero = c2v < SATURATION
+    if not zero.any():
+        return _normalize_pairs(graph.var_others_sum(c2v))
     raw = graph.var_others_sum(np.where(zero, 0.0, c2v))
     raw[graph.var_others_sum(zero.astype(c2v.dtype)) > 0] = LOG_ZERO
     return _normalize_pairs(raw)
@@ -101,14 +106,14 @@ def _c2v_update(graph: FactorGraph, v2c: np.ndarray) -> np.ndarray:
     probabilities), saturating to log-zero when that product reaches 1.
     Unit clauses get the empty sum 0, hence log-zero.
     """
-    ar = np.arange(graph.num_incidences)
-    unsat_value = graph.unsat_value
-    q = v2c[ar, unsat_value]  # log prob each literal is dissatisfied
+    unsat = graph.unsat_slot
+    q = np.take(v2c, unsat)  # log prob each literal is dissatisfied
     s_excl = graph.clause_others_sum(q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        unsat_msg = np.where(s_excl < 0, log1mexp(s_excl), LOG_ZERO)
+        unsat_msg = log1mexp(s_excl)
+    np.putmask(unsat_msg, ~(s_excl < 0), LOG_ZERO)
     out = np.zeros_like(v2c)
-    out[ar, unsat_value] = _saturate(unsat_msg)
+    np.put(out, unsat, _saturate(unsat_msg))
     return out
 
 
@@ -144,8 +149,12 @@ def bp_run(
         iterations += 1
         delta = 0.0
         if E:
+            # the old messages are dropped after this: the differences go
+            # in their place, and max |d| is max(-min d, max d)
+            dv = np.subtract(new_v2c, v2c, out=v2c)
+            dc = np.subtract(new_c2v, c2v, out=c2v)
             delta = max(
-                float(np.abs(new_v2c - v2c).max()), float(np.abs(new_c2v - c2v).max())
+                max(-float(dv.min()), float(dv.max())), max(-float(dc.min()), float(dc.max()))
             )
         v2c, c2v = new_v2c, new_c2v
         if delta < config.convergence_eps:

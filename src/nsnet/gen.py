@@ -108,22 +108,45 @@ def gen_sr(n: int, seed: int) -> CnfFormula:
     the clauses before the last falsifies all literals of the last one, so
     negating one of its literals, drawn uniformly, gives a satisfiable
     formula that differs from the unsatisfiable member in that literal.
+
+    The solver runs only when a new clause is false under the model of the
+    clauses before it; a free variable of that model may be set to satisfy it.
     """
     if n < 2:
         raise ValueError("SR generation needs n >= 2")
     rng = make_rng(seed)
     clauses: list[Clause] = []
+    model = [-1] * n  # of the clauses so far; -1 is a free variable
     # ends with probability 1: any step may complete an unsatisfiable set
     # of 2-clauses
     while True:
         k = 1 + int(rng.random() < 0.7) + int(rng.geometric(0.4))
-        clauses.append(_random_clause(rng, n, min(k, SR_MAX_CLAUSE_LEN, n)))
-        if not oracle.satisfiable(CnfFormula(n, tuple(clauses))):
+        clause = _random_clause(rng, n, min(k, SR_MAX_CLAUSE_LEN, n))
+        clauses.append(clause)
+        if _satisfy(model, clause):
+            continue
+        model = oracle.find_model(CnfFormula(n, tuple(clauses)))
+        if model is None:
             break
     last = clauses[-1]
     j = int(rng.integers(len(last)))
     clauses[-1] = last[:j] + (-last[j],) + last[j + 1:]
     return CnfFormula(n, tuple(clauses))
+
+
+def _satisfy(model: list[int], clause: Clause) -> bool:
+    """Whether ``model`` satisfies ``clause``, once a free variable of the
+    clause, if it has one and needs it, is set to make its literal true."""
+    free = 0
+    for lit in clause:
+        value = model[abs(lit) - 1]
+        if value == -1:
+            free = free or lit
+        elif value == (lit > 0):
+            return True
+    if free:
+        model[abs(free) - 1] = int(free > 0)
+    return bool(free)
 
 
 def gen_ca(n: int, seed: int, config: GenConfig | None = None) -> CnfFormula:

@@ -24,6 +24,7 @@ maps, so a backward pass calls them on the gradients.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,28 +39,30 @@ DEFAULT_FACTOR_ENUM_CAP = 10
 class EnumPlan:
     """Flat index arrays enumerating the satisfying assignments per clause.
 
-    Row r is one satisfying assignment of one clause. Flat element f says
-    that slot ``(flat_slot[f], flat_value[f])`` participates in row
-    ``flat_row[f]``. Each row's flat elements are one contiguous run and
-    every clause has at least one row, so sums are ``np.add.reduceat``.
+    Row r is one satisfying assignment of one clause. Its flat elements are
+    the run ``row_flat_start[r]`` up to the next row's start, one per
+    position of the clause; flat element f names slot (e, x), incidence e
+    taking value x in the row, as ``flat_index[f] = 2e + x``, its offset in
+    a C-ordered (E, 2, ...) array. Every clause has at least one row, so
+    sums are ``np.add.reduceat``.
     """
 
     num_rows: int
     row_clause: np.ndarray  # (R,)  clause index of each row
     row_start: np.ndarray  # (m+1,) rows of clause a are row_start[a]:row_start[a+1]
-    flat_row: np.ndarray  # (F,)
-    flat_slot: np.ndarray  # (F,)  incidence index
-    flat_value: np.ndarray  # (F,)  value of that variable in the row
     row_flat_start: np.ndarray  # (R,) first flat element of each row
+    flat_index: np.ndarray  # (F,)  2 * incidence + value
 
     def row_sums(self, x: np.ndarray) -> np.ndarray:
         """(R, ...) sums of (E, 2, ...) slot values ``x`` over each row."""
-        return np.add.reduceat(x[self.flat_slot, self.flat_value], self.row_flat_start, axis=0)
+        slots = x.reshape((-1,) + x.shape[2:])
+        return np.add.reduceat(np.take(slots, self.flat_index, axis=0), self.row_flat_start, axis=0)
 
     def scatter_rows(self, g: np.ndarray, num_incidences: int) -> np.ndarray:
         """Adjoint of :meth:`row_sums`: per slot, the sum of ``g`` over its rows."""
         out = np.zeros((num_incidences, 2) + g.shape[1:], dtype=g.dtype)
-        np.add.at(out, (self.flat_slot, self.flat_value), np.take(g, self.flat_row, axis=0))
+        row_len = np.diff(self.row_flat_start, append=len(self.flat_index))
+        np.add.at(out.reshape((-1,) + g.shape[1:]), self.flat_index, np.repeat(g, row_len, axis=0))
         return out
 
     def clause_sums(self, rows: np.ndarray) -> np.ndarray:
@@ -93,6 +96,12 @@ class FactorGraph:
     @property
     def unsat_value(self) -> np.ndarray:
         return 1 - self.sat_value
+
+    @cached_property
+    def unsat_slot(self) -> np.ndarray:
+        """(E,) offset ``2e + unsat_value[e]`` of each incidence's
+        dissatisfying slot in a C-ordered (E, 2) array."""
+        return 2 * np.arange(self.num_incidences) + self.unsat_value
 
     @property
     def clause_len(self) -> np.ndarray:
@@ -154,29 +163,37 @@ class FactorGraph:
             )
         # rows are listed clause by clause, the flat entries of a row position
         # by position; the k-th satisfying code of a clause is k, or k + 1 from
-        # its all-dissatisfying code on
+        # its all-dissatisfying code on. Codes are worked out per row, then
+        # spread over the row's flat entries.
         num_codes = (np.int64(1) << lens) - 1
         row_start = np.concatenate(([0], np.cumsum(num_codes)))
         row_clause = np.repeat(np.arange(self.num_clauses), num_codes)
-        row_len = lens[row_clause]
+        row_len = np.repeat(lens, num_codes)
         row_flat_start = np.cumsum(row_len) - row_len
-        flat_row = np.repeat(np.arange(len(row_clause)), row_len)
-        flat_clause = np.repeat(row_clause, row_len)
-        bit = np.arange(len(flat_row)) - np.repeat(row_flat_start, row_len)
         position = np.arange(self.num_incidences) - self.clause_start[self.inc_clause]
         unsat_code = np.bincount(
             self.inc_clause, self.unsat_value << position, self.num_clauses
         ).astype(np.int64)
-        code = flat_row - row_start[flat_clause]
-        code += code >= unsat_code[flat_clause]
+        code = np.arange(len(row_clause)) - np.repeat(row_start[:-1], num_codes)
+        code += code >= np.repeat(unsat_code, num_codes)
+        # flat element f of row r: bit = f - row_flat_start[r] is the clause
+        # position, the incidence its clause's first plus bit, the value bit
+        # `bit` of the row's code
+        bit = np.arange(int(row_len.sum()))
+        bit -= np.repeat(row_flat_start, row_len)
+        value = np.repeat(code, row_len)
+        value >>= bit
+        value &= 1
+        flat_index = bit
+        flat_index += np.repeat(np.repeat(self.clause_start[:-1], num_codes), row_len)
+        flat_index *= 2
+        flat_index += value
         plan = EnumPlan(
             num_rows=len(row_clause),
             row_clause=row_clause,
             row_start=row_start,
-            flat_row=flat_row,
-            flat_slot=self.clause_start[flat_clause] + bit,
-            flat_value=(code >> bit) & 1,
             row_flat_start=row_flat_start,
+            flat_index=flat_index,
         )
         self._enum_cache[cap] = plan
         return plan
@@ -188,35 +205,31 @@ def build_factor_graph(formula: CnfFormula) -> FactorGraph:
     Raises on duplicate variable occurrences within a clause, tautological
     clauses, and empty clauses (no factor-graph semantics for those).
     """
-    inc_var: list[int] = []
-    inc_clause: list[int] = []
-    sat_value: list[int] = []
-    clause_start = [0]
-    for a, clause in enumerate(formula.clauses):
-        if len(clause) == 0:
-            raise ValueError("cannot build a factor graph from an empty clause")
-        seen = set()
-        for lit in clause:
-            v = abs(lit)
-            if v in seen:
-                raise ValueError(
-                    f"clause {a + 1} mentions variable {v} twice; normalize first"
-                )
-            seen.add(v)
-            inc_var.append(v - 1)
-            inc_clause.append(a)
-            sat_value.append(1 if lit > 0 else 0)
-        clause_start.append(len(inc_var))
-
-    inc_var_arr = np.asarray(inc_var, dtype=np.int64)
+    n, m = formula.num_vars, formula.num_clauses
+    lens = np.fromiter(map(len, formula.clauses), np.int64, m)
+    if not lens.all():
+        a = int(np.argmin(lens))
+        raise ValueError(f"clause {a + 1} is empty; cannot build a factor graph from it")
+    clause_start = np.concatenate(([0], np.cumsum(lens)))
+    E = int(clause_start[-1])
+    lits = np.fromiter(itertools.chain.from_iterable(formula.clauses), np.int64, E)
+    inc_clause = np.repeat(np.arange(m), lens)
+    inc_var = np.abs(lits) - 1
+    # a repeated variable, in either polarity, is a repeated clause-variable key
+    keys = np.sort(inc_clause * n + inc_var)
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(repeated):
+        a, v = divmod(int(keys[repeated[0]]), n)
+        raise ValueError(f"clause {a + 1} mentions variable {v + 1} twice; normalize first")
     return FactorGraph(
-        num_vars=formula.num_vars,
-        num_clauses=formula.num_clauses,
-        inc_var=inc_var_arr,
-        inc_clause=np.asarray(inc_clause, dtype=np.int64),
-        sat_value=np.asarray(sat_value, dtype=np.int64),
-        clause_start=np.asarray(clause_start, dtype=np.int64),
-        var_incidences=np.argsort(inc_var_arr, kind="stable"),
+        num_vars=n,
+        num_clauses=m,
+        inc_var=inc_var,
+        inc_clause=inc_clause,
+        sat_value=(lits > 0).astype(np.int64),
+        clause_start=clause_start,
+        # incidences variable by variable, each variable's in increasing order
+        var_incidences=np.sort(inc_var * E + np.arange(E)) % max(E, 1),
     )
 
 

@@ -500,7 +500,8 @@ def backward(
     to be MLPs (the exact reduction mode has no trainable parameters).
 
     Each MLP's hidden layers are recomputed from the input the tape holds,
-    into one set of work buffers allocated here for the largest MLP call.
+    into work buffers allocated here: one set for the factor readout on the
+    plan's rows, freed before the set that the other MLPs share.
     """
     for name, net in params.nets():
         if not isinstance(net, Mlp):
@@ -521,8 +522,6 @@ def backward(
     if dlnz_vec.ndim == 0:
         dlnz_vec = np.full(tape.n_inst, dlnz_vec, dtype=dtype)
     with_count = tape.want_count and bool(np.any(dlnz_vec != 0.0))
-    rows = max(2 * E, 2 * n, tape.plan.num_rows if with_count else 0)
-    work = _work([net for _, net in params.nets()], rows, dtype)
     if with_count:
         assert tape.plan is not None and tape.lbf is not None
         plan, lbf = tape.plan, tape.lbf
@@ -533,8 +532,13 @@ def backward(
         dlbf = dlnz_vec[tape.clause_inst[plan.row_clause]] * (-np.exp(lbf) * (1.0 + lbf))
         # log-normalization per clause: lbf = rf - LSE(rf over the clause)
         drf = dlbf - np.exp(lbf) * np.take(plan.clause_sums(dlbf), plan.row_clause)
-        dsf = params.r_fac.backward(drf[:, None], tape.sf, grads, "r_fac", work)
+        # the factor readout runs on the plan's rows, often more than 2E: its
+        # work buffers are its own and are freed before the loop's are made
+        r_fac_work = _work([params.r_fac], plan.num_rows, dtype)
+        dsf = params.r_fac.backward(drf[:, None], tape.sf, grads, "r_fac", r_fac_work)
+        del r_fac_work
         dv2c_final = plan.scatter_rows(dsf, E)
+    work = _work([net for _, net in params.nets()], max(2 * E, 2 * n), dtype)
 
     # two-way softmax: lbv = rv - logaddexp(rv0, rv1)
     drv = dlbv - np.exp(tape.lbv) * dlbv.sum(axis=1, keepdims=True)

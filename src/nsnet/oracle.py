@@ -95,6 +95,7 @@ class _Dpll:
         self.nodes = 0
         self.count = 0
         self.sums = [0] * (self.n + 1) if want_sums else None
+        self.model: list[int] | None = None  # the decision's model, once found
         m = len(self.clauses)
         self.sat_count = [0] * m
         self.unassigned = [len(c) for c in self.clauses]
@@ -213,6 +214,7 @@ class _Dpll:
             var = self._pick_branch_var()
             if var == 0:
                 found = True
+                self.model = self.assign[1:]
             else:
                 for val in (1, 0):
                     sub_queue: list[int] = []
@@ -235,10 +237,11 @@ class _Dpll:
         self._count_search(0, self._initial_queue())
         return self.count, self.sums
 
-    def run_decide(self) -> bool:
+    def run_decide(self) -> list[int] | None:
         if any(len(c) == 0 for c in self.clauses):
-            return False
-        return self._decide_search(self._initial_queue())
+            return None
+        self._decide_search(self._initial_queue())
+        return self.model
 
 
 def exact_count(
@@ -278,6 +281,15 @@ def exact_marginals(
     return np.array([ratio(sums[v]) for v in range(1, formula.num_vars + 1)])
 
 
+def find_model(formula: CnfFormula, node_budget: int | None = None) -> list[int] | None:
+    """A model by DPLL with unit propagation, or None when there is none.
+
+    Entry ``v - 1`` is variable v's value, 0 or 1, or -1 when the model
+    leaves v free: every clause is satisfied by an assigned variable.
+    """
+    return _Dpll(formula, node_budget, want_sums=False).run_decide()
+
+
 def satisfiable(formula: CnfFormula, node_budget: int | None = None) -> bool:
     """Complete satisfiability decision (DPLL with unit propagation)."""
-    return _Dpll(formula, node_budget, want_sums=False).run_decide()
+    return find_model(formula, node_budget) is not None

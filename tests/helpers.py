@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
-from nsnet import bp
+from nsnet import bp, gen, oracle
 from nsnet.cnf import CnfFormula
-from nsnet.graph import log1mexp
+from nsnet.graph import FactorGraph, log1mexp
 from nsnet.oracle import enumerate_models
 
 # the running example: (x1 or not x2) and (x1 or x3) and (not x1 or x2 or x3)
@@ -190,7 +190,8 @@ def brute_satisfying_lse(graph, v2c, e_target, value):
 
 # ---------------------------------------------------------------- looped BP
 # Direct per-variable / per-clause loops over the factor graph, kept as
-# references for the segment-sum updates and the vectorized enumeration plan.
+# references for the segment-sum updates, the vectorized graph build and the
+# vectorized enumeration plan.
 
 
 def _exclusion_matrix(k):
@@ -236,13 +237,42 @@ def looped_bp_run(graph, config, initial=None):
         bp._v2c_update, bp._c2v_update = saved
 
 
+def looped_build_factor_graph(formula):
+    """``build_factor_graph`` by a loop over clauses and literals."""
+    inc_var, inc_clause, sat_value = [], [], []
+    clause_start = [0]
+    for a, clause in enumerate(formula.clauses):
+        if len(clause) == 0:
+            raise ValueError(f"clause {a + 1} is empty")
+        seen = set()
+        for lit in clause:
+            v = abs(lit)
+            if v in seen:
+                raise ValueError(f"clause {a + 1} mentions variable {v} twice")
+            seen.add(v)
+            inc_var.append(v - 1)
+            inc_clause.append(a)
+            sat_value.append(1 if lit > 0 else 0)
+        clause_start.append(len(inc_var))
+    inc_var = np.asarray(inc_var, dtype=np.int64)
+    return FactorGraph(
+        num_vars=formula.num_vars,
+        num_clauses=formula.num_clauses,
+        inc_var=inc_var,
+        inc_clause=np.asarray(inc_clause, dtype=np.int64),
+        sat_value=np.asarray(sat_value, dtype=np.int64),
+        clause_start=np.asarray(clause_start, dtype=np.int64),
+        var_incidences=np.argsort(inc_var, kind="stable"),
+    )
+
+
 def looped_enumeration(graph, cap):
     """Satisfying-assignment plan by a triple loop over clauses, codes and
     positions; returns the EnumPlan fields as a dict."""
     lens = graph.clause_len
     if len(lens) and int(lens.max()) > cap:
         raise ValueError(f"clause length {int(lens.max())} exceeds enumeration cap {cap}")
-    row_clause, flat_row, flat_slot, flat_value = [], [], [], []
+    row_clause, row_flat_start, flat_index = [], [], []
     row_start = [0]
     r = 0
     for a in range(graph.num_clauses):
@@ -255,18 +285,16 @@ def looped_enumeration(graph, cap):
             if code == unsat_code:
                 continue
             row_clause.append(a)
+            row_flat_start.append(len(flat_index))
             for j, e in enumerate(slots):
-                flat_row.append(r)
-                flat_slot.append(e)
-                flat_value.append((code >> j) & 1)
+                flat_index.append(2 * e + ((code >> j) & 1))
             r += 1
         row_start.append(r)
     fields = {
         "row_clause": row_clause,
         "row_start": row_start,
-        "flat_row": flat_row,
-        "flat_slot": flat_slot,
-        "flat_value": flat_value,
+        "row_flat_start": row_flat_start,
+        "flat_index": flat_index,
     }
     return {"num_rows": r, **{k: np.asarray(v, dtype=np.int64) for k, v in fields.items()}}
 
@@ -303,3 +331,22 @@ def mlp_backward_cached(mlp, dy, cache, grads, name):
         grads[f"{name}.b{layer}"] += dz.sum(axis=0)
         dx = dz @ mlp.weights[layer]
     return dx
+
+
+# ------------------------------------------------------------- SR reference
+# gen_sr as it was before it reused the solver's model: a full decision after
+# every added clause.
+
+
+def gen_sr_by_decision(n, seed):
+    rng = gen.make_rng(seed)
+    clauses = []
+    while True:
+        k = 1 + int(rng.random() < 0.7) + int(rng.geometric(0.4))
+        clauses.append(gen._random_clause(rng, n, min(k, gen.SR_MAX_CLAUSE_LEN, n)))
+        if not oracle.satisfiable(CnfFormula(n, tuple(clauses))):
+            break
+    last = clauses[-1]
+    j = int(rng.integers(len(last)))
+    clauses[-1] = last[:j] + (-last[j],) + last[j + 1:]
+    return CnfFormula(n, tuple(clauses))

@@ -178,6 +178,16 @@ class TestDynamics:
             checked += 1
         assert checked >= 10
 
+    def test_initial_state_is_not_modified(self):
+        rng = np.random.default_rng(79)
+        graph = build_factor_graph(helpers.random_formula(rng, 8, 20))
+        state = bp_run(graph, BpConfig(max_iters=4, convergence_eps=1e-300))
+        kept = BpState(state.v2c.copy(), state.c2v.copy(), state.converged, state.iterations_run)
+        for damping in (0.0, 0.4):
+            bp_run(graph, BpConfig(max_iters=3, convergence_eps=1e-300, damping=damping), initial=state)
+            assert np.array_equal(state.v2c, kept.v2c)
+            assert np.array_equal(state.c2v, kept.c2v)
+
     def test_damped_run_keeps_v2c_normalized(self):
         rng = np.random.default_rng(78)
         formula = helpers.random_formula(rng, 8, 20, min_len=2)
@@ -252,6 +262,24 @@ class TestSegmentSumUpdates:
                 assert np.abs(got.v2c - ref.v2c).max() <= 1e-9
                 assert np.abs(got.c2v - ref.c2v).max() <= 1e-9
         assert converged >= 50
+
+    def test_looped_run_calls_the_looped_updates(self, monkeypatch):
+        calls = {"v2c": 0, "c2v": 0}
+
+        def counted(name, update):
+            def wrapped(graph, messages):
+                calls[name] += 1
+                return update(graph, messages)
+            return wrapped
+
+        monkeypatch.setattr(helpers, "looped_v2c_update", counted("v2c", helpers.looped_v2c_update))
+        monkeypatch.setattr(helpers, "looped_c2v_update", counted("c2v", helpers.looped_c2v_update))
+        graph = build_factor_graph(helpers.F0)
+        state = helpers.looped_bp_run(graph, BpConfig(max_iters=5, convergence_eps=1e-300))
+        assert state.iterations_run == 5
+        assert calls == {"v2c": 5, "c2v": 5}
+        # the library's updates are back in place
+        assert bp._v2c_update.__module__ == bp._c2v_update.__module__ == "nsnet.bp"
 
     def test_log_zero_entry_excludes_only_itself(self):
         # variable 1 gets a log-zero message for value 0 from the unit clause;

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import helpers
 from nsnet import oracle
 from nsnet.cnf import CnfFormula
 from nsnet.gen import (
@@ -86,6 +87,23 @@ class TestSr:
                 not oracle.satisfiable(negate_literal(f, len(f.clauses) - 1, j))
                 for j in range(len(last))
             )
+
+    def test_equals_a_decision_after_every_clause(self, monkeypatch):
+        # the solver runs only when the clause falsifies the last model
+        calls = []
+        find_model = oracle.find_model
+
+        def counted(formula, *args):
+            calls.append(formula.num_clauses)
+            return find_model(formula, *args)
+
+        monkeypatch.setattr(oracle, "find_model", counted)
+        made = [(10 + seed % 21, seed) for seed in range(41)]
+        formulas = [gen_sr(n, seed=seed) for n, seed in made]
+        monkeypatch.undo()
+        for (n, seed), f in zip(made, formulas):
+            assert f == helpers.gen_sr_by_decision(n, seed), (n, seed)
+        assert len(calls) < sum(f.num_clauses for f in formulas) / 4
 
     def test_short_clauses_at_tiny_n(self):
         for seed in range(10):

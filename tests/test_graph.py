@@ -32,12 +32,34 @@ class TestBuild:
     def test_rejects_empty_clause(self):
         with pytest.raises(ValueError):
             build_factor_graph(CnfFormula(1, ((),)))
+        with pytest.raises(ValueError, match="clause 3 is empty"):
+            build_factor_graph(CnfFormula(3, ((1, 2), (-3,), ())))
 
     def test_rejects_duplicate_variable(self):
         with pytest.raises(ValueError):
             build_factor_graph(CnfFormula(2, ((1, 1),)))
         with pytest.raises(ValueError):
             build_factor_graph(CnfFormula(2, ((1, -1),)))
+        for clause in ((3, 1, 3), (2, -3, -2)):
+            with pytest.raises(ValueError, match=r"clause 2 mentions variable [23] twice"):
+                build_factor_graph(CnfFormula(3, ((1, -2, 3), clause, (3,))))
+
+    def test_equals_looped_reference(self):
+        rng = np.random.default_rng(5)
+        fields = ("num_vars", "num_clauses", "inc_var", "inc_clause", "sat_value",
+                  "clause_start", "var_incidences")
+        formulas = [CnfFormula(4, ()), helpers.F0] + list(helpers.inference_corpus().values())
+        for _ in range(60):
+            n = int(rng.integers(1, 12))
+            base = helpers.random_formula(rng, n, int(rng.integers(0, 3 * n + 1)))
+            # unit clauses come from min_len 1; three variables no clause mentions
+            formulas.append(CnfFormula(n + 3, base.clauses))
+        for f in formulas:
+            got, ref = build_factor_graph(f), helpers.looped_build_factor_graph(f)
+            for name in fields:
+                a, b = getattr(got, name), getattr(ref, name)
+                assert np.asarray(a).dtype == np.asarray(b).dtype, name
+                assert np.array_equal(a, b), name
 
     def test_incidence_count_is_sum_of_clause_lengths(self):
         rng = np.random.default_rng(0)
@@ -107,15 +129,38 @@ class TestEnumerationPlan:
     def test_all_unsat_row_is_excluded(self):
         g = build_factor_graph(CnfFormula(2, ((1, -2),)))
         plan = g.satisfying_enumeration(10)
-        rows = {}
-        for f in range(len(plan.flat_row)):
-            rows.setdefault(int(plan.flat_row[f]), {})[int(plan.flat_slot[f])] = int(
-                plan.flat_value[f]
-            )
-        for row in rows.values():
+        bounds = np.append(plan.row_flat_start, len(plan.flat_index))
+        for r in range(plan.num_rows):
+            slots = plan.flat_index[bounds[r]: bounds[r + 1]]
             assert any(
-                row[e] == g.sat_value[e] for e in row
+                x % 2 == g.sat_value[x // 2] for x in slots
             ), "every enumerated row satisfies the clause"
+
+    def test_row_sums_equal_explicit_gather(self):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            n = int(rng.integers(4, 12))
+            g = build_factor_graph(helpers.random_formula(rng, n, int(rng.integers(1, 2 * n)), max_len=6))
+            ref = helpers.looped_enumeration(g, 10)
+            slot, value = ref["flat_index"] // 2, ref["flat_index"] % 2
+            plan = g.satisfying_enumeration(10)
+            for tail in ((), (3,)):
+                x = rng.standard_normal((g.num_incidences, 2) + tail)
+                want = np.add.reduceat(x[slot, value], ref["row_flat_start"], axis=0)
+                assert np.array_equal(plan.row_sums(x), want)
+
+    def test_scatter_rows_is_adjoint_of_row_sums(self):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            n = int(rng.integers(4, 12))
+            g = build_factor_graph(helpers.random_formula(rng, n, int(rng.integers(1, 2 * n)), max_len=6))
+            plan = g.satisfying_enumeration(10)
+            for tail in ((), (3,)):
+                x = rng.standard_normal((g.num_incidences, 2) + tail)
+                r = rng.standard_normal((plan.num_rows,) + x.shape[2:])
+                lhs = np.sum(plan.row_sums(x) * r)
+                rhs = np.sum(x * plan.scatter_rows(r, g.num_incidences))
+                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_cap_enforced(self):
         f = CnfFormula(12, (tuple(range(1, 12)),))
@@ -147,7 +192,7 @@ class TestEnumerationPlan:
                 g = build_factor_graph(CnfFormula(length, (clause,)))
                 ref = helpers.looped_enumeration(g, 10)
                 plan = g.satisfying_enumeration(10)
-                for name in ("row_clause", "row_start", "flat_row", "flat_slot", "flat_value"):
+                for name in ("row_clause", "row_start", "row_flat_start", "flat_index"):
                     assert np.array_equal(getattr(plan, name), ref[name]), (length, name)
 
     def test_over_cap_raises_like_reference(self):

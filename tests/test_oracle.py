@@ -8,6 +8,7 @@ from nsnet.oracle import (
     enumerate_models,
     exact_count,
     exact_marginals,
+    find_model,
     satisfiable,
 )
 
@@ -128,3 +129,9 @@ class TestProperties:
             n = int(rng.integers(1, 11))
             formula = helpers.random_formula(rng, n, int(rng.integers(0, 4 * n + 1)))
             assert satisfiable(formula) == bool(enumerate_models(formula, limit=1))
+            # the decision's model satisfies every clause through an assigned variable
+            model = find_model(formula)
+            if model is not None:
+                assert all(
+                    any(model[abs(l) - 1] == (l > 0) for l in clause) for clause in formula.clauses
+                )

@@ -429,13 +429,13 @@ class TestMergedGraph:
         m_off = np.cumsum([0] + [g.num_clauses for g in graphs])
         e_off = np.cumsum([0] + [g.num_incidences for g in graphs])
         r_off = np.cumsum([0] + [p.num_rows for p in parts])
+        f_off = np.cumsum([0] + [len(p.flat_index) for p in parts])
         expected = {
             "row_clause": [p.row_clause + m_off[i] for i, p in enumerate(parts)],
             "row_start": [np.zeros(1, dtype=np.int64)]
             + [p.row_start[1:] + r_off[i] for i, p in enumerate(parts)],
-            "flat_row": [p.flat_row + r_off[i] for i, p in enumerate(parts)],
-            "flat_slot": [p.flat_slot + e_off[i] for i, p in enumerate(parts)],
-            "flat_value": [p.flat_value for p in parts],
+            "row_flat_start": [p.row_flat_start + f_off[i] for i, p in enumerate(parts)],
+            "flat_index": [p.flat_index + 2 * e_off[i] for i, p in enumerate(parts)],
         }
         assert plan.num_rows == r_off[-1]
         for name, pieces in expected.items():
