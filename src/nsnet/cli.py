@@ -71,6 +71,18 @@ def _label_path(labels_dir: str, cnf_name: str) -> str:
     return os.path.join(labels_dir, cnf_name[:-4] + ".json")
 
 
+def _read_marginals(path: str, num_vars: int) -> np.ndarray:
+    """b_i(1) for variables 1..``num_vars`` from the marginal file at ``path``."""
+    with open(path) as fh:
+        marginals = json.load(fh)["marginals"]
+    return np.array([marginals[str(v)] for v in range(1, num_vars + 1)])
+
+
+def _read_ln_count(path: str) -> float | None:
+    with open(path) as fh:
+        return json.load(fh).get("ln_count")
+
+
 # ----------------------------------------------------------------- gen
 
 def cmd_gen(args) -> int:
@@ -170,15 +182,37 @@ def _load_model(spec: str) -> net.ModelParams:
     return net.load_params(spec)
 
 
+def _resolve_model(args, choice: str) -> net.ModelParams | None:
+    """The weights ``--model`` names when option ``--<choice>`` selects the
+    model; None, for plain BP or no estimate, otherwise."""
+    if getattr(args, choice) != "model":
+        return None
+    if not args.model:
+        raise RuntimeError(f"--{choice} model requires --model WEIGHTS")
+    return _load_model(args.model)
+
+
+def _estimate(formula: CnfFormula, params: net.ModelParams | None, iters: int,
+              with_count: bool) -> tuple[np.ndarray, float | None]:
+    """Marginals b_i(1) and, with ``with_count``, the ln Z estimate (else
+    None) after ``iters`` iterations: of plain BP, with the Bethe ln Z, when
+    ``params`` is None, else of the model."""
+    graph = build_factor_graph(formula)
+    if params is None:
+        state = bp.bp_run(graph, bp.BpConfig(max_iters=iters))
+        ln_z = bp.bethe_ln_z(state, graph) if with_count else None
+        return bp.bp_marginals(state, graph), ln_z
+    out = net.forward(graph, params, iters, with_count=with_count)
+    return out.marginals, out.ln_z
+
+
 def cmd_infer(args) -> int:
     formula = _load_formula(args.input)
-    graph = build_factor_graph(formula)
-    params = _load_model(args.model)
     with_count = args.task != "marginals"
-    out = net.forward(graph, params, args.iters, with_count=with_count)
-    doc: dict = {"marginals": _marginals_to_dict(out.marginals)}
+    marginals, ln_z = _estimate(formula, _load_model(args.model), args.iters, with_count)
+    doc: dict = {"marginals": _marginals_to_dict(marginals)}
     if with_count:
-        doc["ln_z"] = out.ln_z
+        doc["ln_z"] = ln_z
     _emit(doc)
     return EXIT_OK
 
@@ -204,19 +238,16 @@ def _load_labeled(data_dir: str, labels_dir: str, task: str) -> list[train.Label
     instances = []
     for name in _dataset_files(data_dir):
         formula = _load_formula(os.path.join(data_dir, name))
-        with open(_label_path(labels_dir, name)) as fh:
-            doc = json.load(fh)
+        path = _label_path(labels_dir, name)
         if task == "marginals":
-            marg = doc["marginals"]
-            label = np.array([marg[str(v)] for v in range(1, formula.num_vars + 1)])
+            label = _read_marginals(path, formula.num_vars)
             instances.append(train.LabeledInstance(formula, marginals=label))
+            continue
+        ln_count = _read_ln_count(path)
+        if ln_count is None:
+            log.warning("skipping %s: null ln_count label", name)
         else:
-            if doc.get("ln_count") is None:
-                log.warning("skipping %s: null ln_count label", name)
-                continue
-            instances.append(
-                train.LabeledInstance(formula, ln_count=float(doc["ln_count"]))
-            )
+            instances.append(train.LabeledInstance(formula, ln_count=float(ln_count)))
     return instances
 
 
@@ -261,17 +292,9 @@ def _initial_assignment(formula, init: str, iters: int, params=None, labels=None
     if init == "random":
         return None
     if init == "file":
-        with open(labels) as fh:
-            doc = json.load(fh)
-        marginals = np.array(
-            [doc["marginals"][str(v)] for v in range(1, formula.num_vars + 1)]
-        )
-    elif init == "bp":
-        graph = build_factor_graph(formula)
-        marginals = bp.bp_marginals(bp.bp_run(graph, bp.BpConfig(max_iters=iters)), graph)
+        marginals = _read_marginals(labels, formula.num_vars)
     else:
-        graph = build_factor_graph(formula)
-        marginals = net.forward(graph, params, iters, with_count=False).marginals
+        marginals, _ = _estimate(formula, params, iters, with_count=False)
     return search.round_marginals(marginals)
 
 
@@ -279,9 +302,7 @@ def _init_params(args) -> net.ModelParams | None:
     """Checks the --init flags; the model weights for ``--init model``."""
     if args.init == "file" and not args.labels:
         raise RuntimeError("--init file requires --labels with marginal files")
-    if args.init == "model" and not args.model:
-        raise RuntimeError("--init model requires --model WEIGHTS")
-    return _load_model(args.model) if args.init == "model" else None
+    return _resolve_model(args, "init")
 
 
 def cmd_solve(args) -> int:
@@ -308,14 +329,6 @@ def cmd_solve(args) -> int:
 
 # ----------------------------------------------------------------- eval
 
-def _estimate_ln_z(graph, params: net.ModelParams | None, iters: int) -> float:
-    """Bethe ln Z of plain BP when ``params`` is None, else NSNet's ln Z."""
-    if params is None:
-        state = bp.bp_run(graph, bp.BpConfig(max_iters=iters))
-        return bp.bethe_ln_z(state, graph)
-    return net.forward(graph, params, iters, with_count=True).ln_z
-
-
 def _eval_rows(row_fn, args, params) -> list:
     """``row_fn(args, params, name)`` for each instance of ``args.data`` in
     file order, in ``args.jobs`` worker processes when that is above 1. The
@@ -331,15 +344,14 @@ def _eval_rows(row_fn, args, params) -> list:
 
 def _eval_count_row(args, params, name):
     formula = _load_formula(os.path.join(args.data, name))
-    with open(_label_path(args.labels, name)) as fh:
-        truth = json.load(fh).get("ln_count")
+    truth = _read_ln_count(_label_path(args.labels, name))
     row: dict = {"id": name[:-4], "truth": truth}
     if truth is None:
         row["error"] = "missing ln_count label"
         return row, math.nan
     started = time.perf_counter()
     try:
-        pred = _estimate_ln_z(build_factor_graph(formula), params, args.iters)
+        _, pred = _estimate(formula, params, args.iters, with_count=True)
     except Exception as exc:
         row["error"] = str(exc)
         return row, math.nan
@@ -362,12 +374,7 @@ def rmse(preds, truths) -> float:
 def cmd_eval_count(args) -> int:
     if not args.labels:
         raise RuntimeError("eval --task counting requires --labels")
-    if args.estimator == "model" and not args.model:
-        raise RuntimeError("--estimator model requires --model WEIGHTS")
-    params = None
-    if args.estimator != "bp":
-        params = _load_model(args.model if args.estimator == "model" else "reduction")
-    results = _eval_rows(_eval_count_row, args, params)
+    results = _eval_rows(_eval_count_row, args, _resolve_model(args, "estimator"))
     rows = [r for r, _ in results]
     times = [t for _, t in results]
     good = [r for r in rows if "pred" in r]
@@ -384,9 +391,7 @@ def cmd_eval_count(args) -> int:
     }
     if args.timing:
         finite = [t for t in times if not math.isnan(t)]
-        report["timing"] = {
-            "mean_seconds_per_instance": sum(finite) / len(finite) if finite else None
-        }
+        report["timing"] = {"mean_seconds_per_instance": _mean(finite)}
     _write_report(report, args.out)
     return EXIT_OK
 
@@ -424,12 +429,15 @@ def _eval_solve_row(args, params, name):
     return row
 
 
-def _mean_std(values) -> dict:
+def _mean(values: list) -> float | None:
+    return sum(values) / len(values) if values else None
+
+
+def _mean_std(values: list) -> dict:
     if not values:
         return {"mean": None, "std": None}
-    mean = sum(values) / len(values)
     std = statistics.pstdev(values) if len(values) > 1 else 0.0
-    return {"mean": mean, "std": std}
+    return {"mean": _mean(values), "std": std}
 
 
 def cmd_eval_solve(args) -> int:
@@ -438,25 +446,15 @@ def cmd_eval_solve(args) -> int:
     excluded = len(rows) - len(usable)
     if excluded:
         log.warning("%d unsatisfiable instances excluded from accuracy", excluded)
-    runs = []
-    for k, seed in enumerate(_repeat_seeds(args)):
-        init_frac = (
-            sum(r["init_solved"][k] for r in usable) / len(usable) if usable else None
-        )
-        solved_frac = (
-            sum(r["solved"][k] for r in usable) / len(usable) if usable else None
-        )
-        flips_solved = [r["flips"][k] for r in usable if r["solved"][k]]
-        runs.append(
-            {
-                "seed": seed,
-                "init_solved_fraction": init_frac,
-                "solved_fraction": solved_frac,
-                "mean_flips_solved": sum(flips_solved) / len(flips_solved)
-                if flips_solved
-                else None,
-            }
-        )
+    runs = [
+        {
+            "seed": seed,
+            "init_solved_fraction": _mean([r["init_solved"][k] for r in usable]),
+            "solved_fraction": _mean([r["solved"][k] for r in usable]),
+            "mean_flips_solved": _mean([r["flips"][k] for r in usable if r["solved"][k]]),
+        }
+        for k, seed in enumerate(_repeat_seeds(args))
+    ]
     report = {
         "task": "solving",
         "init": args.init,
@@ -465,15 +463,8 @@ def cmd_eval_solve(args) -> int:
         "repeats": args.repeats,
         "runs": runs,
         "aggregate": {
-            "init_solved_fraction": _mean_std(
-                [r["init_solved_fraction"] for r in runs if r["init_solved_fraction"] is not None]
-            ),
-            "solved_fraction": _mean_std(
-                [r["solved_fraction"] for r in runs if r["solved_fraction"] is not None]
-            ),
-            "mean_flips_solved": _mean_std(
-                [r["mean_flips_solved"] for r in runs if r["mean_flips_solved"] is not None]
-            ),
+            key: _mean_std([r[key] for r in runs if r[key] is not None])
+            for key in ("init_solved_fraction", "solved_fraction", "mean_flips_solved")
         },
         "rows": rows,
     }
@@ -495,6 +486,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="SAT/#SAT inference: BP and neural message passing on CNF factor graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # options that solve and eval share: the WalkSAT start and search
+    search_opts = argparse.ArgumentParser(add_help=False)
+    search_opts.add_argument("--init", choices=("random", "bp", "model", "file"),
+                             default="random")
+    search_opts.add_argument("--model", default=None, help="weights file or 'reduction'")
+    search_opts.add_argument("--labels", default=None,
+                             help="label file or directory; marginal files for --init file")
+    search_opts.add_argument("--iters", type=int, default=10,
+                             help="message passing iterations of BP or the model")
+    search_opts.add_argument("--tries", type=int, default=100)
+    search_opts.add_argument("--max-flips", type=int, default=None)
+    search_opts.add_argument("--noise", type=float, default=0.5)
+    search_opts.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gen", help="generate a DIMACS corpus with a manifest")
     p.add_argument("--dist", choices=gen.DISTRIBUTIONS, default="random3sat")
@@ -547,30 +552,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="weights file to write")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("solve", help="stochastic local search on one instance")
+    p = sub.add_parser("solve", parents=[search_opts],
+                       help="stochastic local search on one instance")
     p.add_argument("--input", required=True)
-    p.add_argument("--init", choices=("random", "bp", "model", "file"), default="random")
-    p.add_argument("--model", default=None)
-    p.add_argument("--labels", default=None, help="marginal file or directory for --init file")
-    p.add_argument("--iters", type=int, default=10, help="message passing iterations for bp/model init")
-    p.add_argument("--tries", type=int, default=100)
-    p.add_argument("--max-flips", type=int, default=None)
-    p.add_argument("--noise", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("eval", help="evaluate counting or solving over a dataset")
+    p = sub.add_parser("eval", parents=[search_opts],
+                       help="evaluate counting or solving over a dataset")
     p.add_argument("--task", choices=("counting", "solving"), required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--estimator", choices=("bp", "model", "reduction"), default="bp")
-    p.add_argument("--model", default=None)
-    p.add_argument("--init", choices=("random", "bp", "model", "file"), default="random")
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--tries", type=int, default=100)
-    p.add_argument("--max-flips", type=int, default=None)
-    p.add_argument("--noise", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--estimator", choices=("bp", "model"), default="bp",
+                   help="ln Z of BP or of --model for --task counting")
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timing", action="store_true",

@@ -43,11 +43,9 @@ import numpy as np
 
 from .graph import DEFAULT_FACTOR_ENUM_CAP, EnumPlan, FactorGraph, bethe_sum, log1mexp
 
-# dissatisfying branch of a unit clause: no satisfying completion exists;
-# a constant floor plays the role of BP's log-zero at embedding scale
-UNIT_FLOOR = -30.0
-
-# clamp for ln(1 - exp(delta)); the clamped branch passes no gradient
+# clamp for ln(1 - exp(delta)); the clamped branch passes no gradient. A unit
+# clause's dissatisfying branch has no completion (delta = 0) and so gets the
+# finite floor ln(1 - exp(DELTA_CLAMP)) = -27.63 in place of BP's log-zero
 DELTA_CLAMP = -1e-12
 
 DEFAULT_HIDDEN = 64
@@ -311,7 +309,8 @@ def satisfying_lse(graph: FactorGraph, v2c: np.ndarray):
     product set over the other variables, so the LSE is the sum of their
     pair-LSEs; for the dissatisfying branch the all-dissatisfying completion
     is removed by adding ln(1 - exp(delta)). The dissatisfying branch of a unit
-    clause has no completions and yields the constant floor vector.
+    clause has no completions: delta = 0 there, and the clamp gives it the
+    constant floor ln(1 - exp(DELTA_CLAMP)) and no gradient.
     """
     E = graph.num_incidences
     ar = np.arange(E)
@@ -324,8 +323,6 @@ def satisfying_lse(graph: FactorGraph, v2c: np.ndarray):
     delta_c = np.minimum(delta, DELTA_CLAMP)
     grad_pass = delta < DELTA_CLAMP
     u_unsat = excl_tot + log1mexp(delta_c)
-    unit = graph.clause_len[graph.inc_clause] == 1
-    u_unsat[unit] = UNIT_FLOOR
     u = np.empty_like(v2c)
     u[ar, sat] = excl_tot
     u[ar, unsat] = u_unsat

@@ -26,15 +26,11 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Exact model count, its natural log, and optional exact marginals.
-
-    ``ln_count`` is None when the count is zero; ``marginals`` holds b_i(1)
-    per variable (index ``v - 1``) and is present only for satisfiable input.
-    """
+    """Exact model count and its natural log; ``ln_count`` is None when the
+    count is zero. Exact marginals come from :func:`exact_marginals`."""
 
     model_count: int
     ln_count: float | None
-    marginals: np.ndarray | None = None
 
 
 def enumerate_models(

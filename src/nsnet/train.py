@@ -237,21 +237,13 @@ def _global_sq_norm(grads: dict[str, np.ndarray]) -> float:
         return sum(float(np.sum(g * g)) for g in grads.values())
 
 
-def clip_global_norm(
-    grads: dict[str, np.ndarray], max_norm: float, step: int | None = None
-) -> dict[str, np.ndarray]:
+def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
     """Scale all gradients so the global L2 norm is at most ``max_norm``.
 
-    A non-finite global norm (overflow through the near-clamp branch of the
-    log-difference path can spike single entries) zeroes the whole gradient,
-    with a warning naming optimizer step ``step``, rather than poisoning the
-    parameters with NaN.
+    The global norm must be finite; :func:`adam_step` skips a step whose
+    gradient norm is not, before it clips.
     """
-    total_sq = _global_sq_norm(grads)
-    if not math.isfinite(total_sq):
-        log.warning("non-finite gradient norm at step %s; gradient zeroed", step)
-        return {k: np.zeros_like(g) for k, g in grads.items()}
-    total = math.sqrt(total_sq)
+    total = math.sqrt(_global_sq_norm(grads))
     if total <= max_norm or total == 0.0:
         return grads
     scale = max_norm / total
@@ -276,7 +268,7 @@ def adam_step(
     if not math.isfinite(_global_sq_norm(grads)):
         log.warning("non-finite gradient norm at step %s; step skipped", t)
         return params, state
-    grads = clip_global_norm(grads, config.clip_norm, t)
+    grads = clip_global_norm(grads, config.clip_norm)
     new_params = params.copy()
     arrays = dict(new_params.param_items())
     new_m, new_v = {}, {}

@@ -1,11 +1,16 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
-from nsnet import cli, net
-from nsnet.cnf import emit_dimacs
+from nsnet import cli, gen, net, oracle, search
+from nsnet.bp import BpConfig, bethe_ln_z, bp_marginals, bp_run
+from nsnet.cnf import CnfFormula, emit_dimacs, evaluate
+from nsnet.graph import build_factor_graph
 
 
 def write_dataset(tmp_path, formulas):
@@ -22,7 +27,95 @@ def run_cli(capsys, argv):
     return code, out
 
 
+def sr_formulas(count, n=10):
+    """Unit-free SR(n) formulas: reduction mode equals BP on them."""
+    formulas = [gen.gen_sr(n, seed) for seed in range(count)]
+    assert all(len(c) > 1 for f in formulas for c in f.clauses)
+    return formulas
+
+
+def assert_marginals_close(a, b, tol):
+    assert set(a) == set(b)
+    assert max(abs(a[v] - b[v]) for v in a) <= tol
+
+
+class TestBp:
+    def test_report_follows_the_options(self, tmp_path, capsys):
+        formula = sr_formulas(1, n=12)[0]
+        path = tmp_path / "f.cnf"
+        path.write_text(emit_dimacs(formula))
+        graph = build_factor_graph(formula)
+        docs = {}
+        for damping, eps in ((0.0, 1e-8), (0.4, 1e-300), (0.0, 1e9)):
+            code, out = run_cli(capsys, ["bp", "--input", path, "--iters", "7",
+                                         "--damping", damping, "--eps", eps])
+            assert code == cli.EXIT_OK
+            doc = docs[damping, eps] = json.loads(out)
+            assert set(doc) == {"marginals", "ln_z", "converged", "iterations"}
+            state = bp_run(graph, BpConfig(max_iters=7, convergence_eps=eps, damping=damping))
+            assert doc["converged"] == state.converged
+            assert doc["iterations"] == state.iterations_run
+            assert doc["marginals"] == cli._marginals_to_dict(bp_marginals(state, graph))
+            assert doc["ln_z"] == bethe_ln_z(state, graph)
+        assert docs[0.4, 1e-300]["iterations"] == 7 and not docs[0.4, 1e-300]["converged"]
+        assert docs[0.0, 1e9]["iterations"] == 1 and docs[0.0, 1e9]["converged"]
+        assert docs[0.4, 1e-300]["marginals"] != docs[0.0, 1e-8]["marginals"]
+
+
+def test_count_marginals_are_exact(tmp_path, capsys):
+    unsat = CnfFormula(1, ((1,), (-1,)))
+    for formula in (helpers.F0, sr_formulas(1)[0], unsat):
+        path = tmp_path / "f.cnf"
+        path.write_text(emit_dimacs(formula))
+        code, out = run_cli(capsys, ["count", "--input", path, "--marginals"])
+        assert code == cli.EXIT_OK
+        doc = json.loads(out)
+        result = oracle.exact_count(formula)
+        assert doc["count"] == str(result.model_count)
+        if result.model_count:
+            assert doc["marginals"] == cli._marginals_to_dict(oracle.exact_marginals(formula))
+        else:
+            assert "marginals" not in doc
+
+
+def test_infer_reduction_equals_bp(tmp_path, capsys):
+    for k, formula in enumerate(sr_formulas(3)):
+        path = tmp_path / f"{k}.cnf"
+        path.write_text(emit_dimacs(formula))
+        code, out = run_cli(capsys, ["bp", "--input", path, "--iters", "6", "--eps", "1e-300"])
+        assert code == cli.EXIT_OK
+        ref = json.loads(out)
+        assert ref["iterations"] == 6
+        for task in ("counting", "marginals"):
+            code, out = run_cli(capsys, ["infer", "--input", path, "--model", "reduction",
+                                         "--iters", "6", "--task", task])
+            assert code == cli.EXIT_OK
+            doc = json.loads(out)
+            assert_marginals_close(doc["marginals"], ref["marginals"], 1e-9)
+            if task == "counting":
+                assert abs(doc["ln_z"] - ref["ln_z"]) <= 1e-9
+            else:
+                assert "ln_z" not in doc
+
+
 class TestEvalCounting:
+    def test_reduction_model_equals_bp(self, tmp_path, capsys):
+        data = write_dataset(tmp_path, sr_formulas(4))
+        labels = tmp_path / "labels"
+        assert run_cli(capsys, ["label", "--data", data, "--task", "counting", "--out", labels])[0] == 0
+        base = ["eval", "--task", "counting", "--data", data, "--labels", labels, "--iters", "3"]
+        reports = {}
+        for estimator in (["--estimator", "bp"], ["--estimator", "model", "--model", "reduction"]):
+            code, out = run_cli(capsys, base + estimator)
+            assert code == cli.EXIT_OK
+            reports[estimator[1]] = json.loads(out)
+        bp_rows, model_rows = reports["bp"]["rows"], reports["model"]["rows"]
+        assert [(r["id"], r["truth"]) for r in bp_rows] == [(r["id"], r["truth"]) for r in model_rows]
+        assert reports["model"]["failures"] == 0 and len(model_rows) == 4
+        for a, b in zip(bp_rows, model_rows):
+            assert abs(a["pred"] - b["pred"]) <= 1e-9
+        assert abs(reports["bp"]["rmse"] - reports["model"]["rmse"]) <= 1e-9
+
     def test_model_weights_load_once(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(3)
         data = write_dataset(
@@ -53,6 +146,24 @@ class TestEvalCounting:
         assert code == 0
         assert out_jobs == out
         assert len(loads) == 2
+
+
+class TestSolve:
+    def test_init_file_reads_a_labels_directory(self, tmp_path, capsys):
+        formulas = [f for f in sr_formulas(6) if oracle.satisfiable(f)][:2]
+        data = write_dataset(tmp_path, formulas)
+        labels = tmp_path / "labels"
+        assert run_cli(capsys, ["label", "--data", data, "--task", "marginals", "--out", labels])[0] == 0
+        for k, formula in enumerate(formulas):
+            argv = ["solve", "--input", data / f"{k:04d}.cnf", "--init", "file",
+                    "--tries", "1", "--max-flips", "0"]
+            by_dir = run_cli(capsys, argv + ["--labels", labels])
+            by_file = run_cli(capsys, argv + ["--labels", labels / f"{k:04d}.json"])
+            assert by_dir == by_file
+            # no flips: solved exactly when the rounded exact marginals are a model
+            start = search.round_marginals(oracle.exact_marginals(formula))
+            assert json.loads(by_dir[1])["solved"] == bool(evaluate(formula, start))
+            assert by_dir[0] == (cli.EXIT_SAT if evaluate(formula, start) else cli.EXIT_OK)
 
 
 class TestEvalSolving:
@@ -176,3 +287,27 @@ def test_exit_codes_of_errors(tmp_path, capsys):
     no_model = ["eval", "--task", "solving", "--data", data, "--init", "model"]
     assert run_cli(capsys, no_model)[0] == cli.EXIT_RUNTIME
     assert run_cli(capsys, ["solve", "--input", data / "0000.cnf", "--init", "model"])[0] == cli.EXIT_RUNTIME
+    assert run_cli(capsys, ["solve", "--input", data / "0000.cnf", "--init", "file"])[0] == cli.EXIT_RUNTIME
+    no_weights = ["eval", "--task", "counting", "--data", data, "--labels", data, "--estimator", "model"]
+    assert run_cli(capsys, no_weights)[0] == cli.EXIT_RUNTIME
+
+
+def _subcommands() -> dict:
+    (action,) = [a for a in cli._build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_subcommand_help_exits_ok(command, capsys):
+    assert run_cli(capsys, [command, "--help"])[0] == cli.EXIT_OK
+
+
+def test_every_option_is_read():
+    """A dead option parses and is ignored: each option's dest must be read
+    as ``args.<dest>`` somewhere in the CLI module."""
+    read = set(re.findall(r"\bargs\.(\w+)", Path(cli.__file__).read_text()))
+    for command, parser in _subcommands().items():
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert action.dest in read, f"nsnet {command}: --{action.dest} is never read"

@@ -9,9 +9,9 @@ import helpers
 from nsnet import net, oracle
 from nsnet.bp import BpConfig, bethe_ln_z, bp_marginals, bp_run
 from nsnet.cnf import CnfFormula
-from nsnet.graph import build_factor_graph
+from nsnet.graph import build_factor_graph, log1mexp
 from nsnet.net import (
-    UNIT_FLOOR,
+    DELTA_CLAMP,
     Mlp,
     ModelParams,
     ParamsFormatError,
@@ -321,7 +321,7 @@ class TestSatisfyingLse:
                         for value in (0, 1):
                             ref = helpers.brute_satisfying_lse(graph, v2c, e, value)
                             if ref is None:
-                                assert np.all(u[e, value] == UNIT_FLOOR)
+                                assert np.all(u[e, value] == log1mexp(DELTA_CLAMP))
                             else:
                                 assert np.abs(u[e, value] - ref).max() <= 1e-9
 
@@ -330,7 +330,7 @@ class TestSatisfyingLse:
         v2c = np.random.default_rng(0).normal(size=(1, 2, 3))
         u, _, _, _ = satisfying_lse(graph, v2c)
         assert np.allclose(u[0, 1], 0.0)  # satisfying branch: empty sum
-        assert np.all(u[0, 0] == UNIT_FLOOR)
+        assert np.all(u[0, 0] == log1mexp(DELTA_CLAMP))
 
 
 class TestMlp:
