@@ -15,9 +15,11 @@ values below the saturation threshold are clamped to the sentinel
 Both updates are closed forms on top of the factor graph's shared
 reductions (see :mod:`nsnet.graph`): v2c is the sum over the variable's
 other clauses, normalized; c2v is ln(1 - exp(s)) of the clause's other
-literals' summed dissatisfying log probabilities s. The readouts (marginals
-and the Bethe ln Z) are the graph's variable sums, per-clause normalization
-and Bethe sum, the same functions the neural model's readouts call.
+literals' summed dissatisfying log probabilities s. The marginals are the
+graph's variable sums and pair log-sum-exp, as in the neural model's
+readout. The Bethe ln Z takes each clause's factor entropy in closed form,
+O(L) for a clause of length L, where the model's readout enumerates the
+clause's 2^L - 1 satisfying rows; the two share the variable terms.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DEFAULT_FACTOR_ENUM_CAP, FactorGraph, bethe_sum, log1mexp
+from .graph import FactorGraph, bethe_var_terms, log1mexp, logaddexp
 
 LOG_ZERO = -1e30
 SATURATION = -700.0
@@ -71,7 +73,7 @@ def _normalize_pairs(raw: np.ndarray) -> np.ndarray:
     Pairs whose total mass underflows (both entries saturated, as happens on
     contradictory evidence) fall back to the uniform pair.
     """
-    z = np.logaddexp(raw[:, 0], raw[:, 1])
+    z = logaddexp(raw[:, 0], raw[:, 1])
     raw -= z[:, None]
     degenerate = z < SATURATION
     if degenerate.any():
@@ -168,7 +170,7 @@ def _variable_log_beliefs(state: BpState, graph: FactorGraph) -> np.ndarray:
     messages: b_i(x) is proportional to exp of the sum of incoming c2v
     messages for value x; isolated variables get ln 0.5 for both values."""
     sums = graph.var_sum(state.c2v)
-    return sums - np.logaddexp(sums[:, 0], sums[:, 1])[:, None]
+    return sums - logaddexp(sums[:, 0], sums[:, 1])[:, None]
 
 
 def bp_marginals(state: BpState, graph: FactorGraph) -> np.ndarray:
@@ -176,12 +178,39 @@ def bp_marginals(state: BpState, graph: FactorGraph) -> np.ndarray:
     return np.exp(_variable_log_beliefs(state, graph)[:, 1])
 
 
-def bethe_ln_z(
-    state: BpState, graph: FactorGraph, factor_enum_cap: int = DEFAULT_FACTOR_ENUM_CAP
-) -> float:
-    """Bethe estimate of ln Z (see :func:`nsnet.graph.bethe_sum`), with
-    factor beliefs the normalized products of each clause's incoming v2c
-    messages over its satisfying assignments. Exact on trees."""
-    plan = graph.satisfying_enumeration(factor_enum_cap)
-    lbf = plan.log_normalize(plan.row_sums(state.v2c))
-    return float(bethe_sum(graph, plan, lbf, _variable_log_beliefs(state, graph))[0])
+def bethe_ln_z(state: BpState, graph: FactorGraph) -> float:
+    """Bethe estimate of ln Z, -sum_a sum_x b_a ln b_a + sum_i (|N(i)|-1)
+    sum_x b_i ln b_i, with factor beliefs b_a the normalized products of each
+    clause's incoming v2c messages m over its satisfying assignments. Exact
+    on trees.
+
+    A clause's entropy takes O(L), without enumerating its 2^L - 1 rows.
+    Its satisfying set splits by the first satisfied literal j, whose rows
+    carry P_j = prod_{i<j} q_i(u) * q_j(s), where q(u) and q(s) are a
+    literal's dissatisfying and satisfying message; the later literals are
+    free and add h_k = sum_x m_k ln m_k each. With M = max_j ln P_j and
+    w_j = exp(ln P_j - M), the entropy is
+    ln sum w - sum_j w_j (ln P_j - M + sum_{k>j} h_k) / sum w.
+
+    The prefix and suffix sums are shifted cumulative sums, not a total
+    minus self, which a ``LOG_ZERO`` term would absorb. Normalizing by the
+    max-shifted sum w, not by 1 - prod q(u), keeps the limit of the least
+    impossible rows where messages are saturated: a clause whose literals
+    are all surely dissatisfied has entropy ln L. Unit clauses have one row
+    and add 0.
+    """
+    v2c = state.v2c
+    entropy = 0.0
+    for slots in graph._clause_blocks:
+        unsat = np.take(graph.unsat_slot, slots)  # (L, clauses)
+        lu, ln_p = np.take(v2c, unsat), np.take(v2c, unsat ^ 1)
+        h = np.exp(lu) * lu + np.exp(ln_p) * ln_p
+        later = np.zeros_like(h)
+        later[:-1] = np.cumsum(h[:0:-1], axis=0)[::-1]
+        ln_p[1:] += np.cumsum(lu[:-1], axis=0)
+        ln_p -= ln_p.max(axis=0)
+        w = np.exp(ln_p)
+        total = w.sum(axis=0)
+        entropy += float(np.sum(np.log(total) - np.sum(w * (ln_p + later), axis=0) / total))
+    lbv = _variable_log_beliefs(state, graph)
+    return entropy + float(np.sum(bethe_var_terms(graph, lbv)))

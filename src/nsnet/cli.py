@@ -67,14 +67,21 @@ def _dataset_files(data_dir: str) -> list[str]:
     return names
 
 
+# the key of each task's label in its label file
+_LABEL_KEY = {"marginals": "marginals", "counting": "ln_count"}
+
+
 def _label_path(labels_dir: str, cnf_name: str) -> str:
     return os.path.join(labels_dir, cnf_name[:-4] + ".json")
 
 
-def _read_marginals(path: str, num_vars: int) -> np.ndarray:
-    """b_i(1) for variables 1..``num_vars`` from the marginal file at ``path``."""
+def _read_marginals(path: str, num_vars: int) -> np.ndarray | None:
+    """b_i(1) for variables 1..``num_vars`` from the marginal file at
+    ``path``; None for the null label of an unsatisfiable formula."""
     with open(path) as fh:
         marginals = json.load(fh)["marginals"]
+    if marginals is None:
+        return None
     return np.array([marginals[str(v)] for v in range(1, num_vars + 1)])
 
 
@@ -142,14 +149,15 @@ def cmd_label(args) -> int:
     written = 0
     for name in _dataset_files(args.data):
         formula = _load_formula(os.path.join(args.data, name))
-        if args.task == "marginals":
-            marginals = oracle.exact_marginals(formula)
-            doc = {"marginals": _marginals_to_dict(marginals)}
+        if args.task == "counting":
+            label = oracle.exact_count(formula).ln_count
+        elif oracle.satisfiable(formula):
+            label = _marginals_to_dict(oracle.exact_marginals(formula))
         else:
-            result = oracle.exact_count(formula)
-            doc = {"ln_count": result.ln_count}
-            if result.ln_count is None:
-                log.warning("%s is unsatisfiable; ln_count label is null", name)
+            label = None
+        if label is None:
+            log.warning("%s is unsatisfiable; %s label is null", name, _LABEL_KEY[args.task])
+        doc = {_LABEL_KEY[args.task]: label}
         with open(_label_path(args.out, name), "w") as fh:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
         written += 1
@@ -241,13 +249,13 @@ def _load_labeled(data_dir: str, labels_dir: str, task: str) -> list[train.Label
         path = _label_path(labels_dir, name)
         if task == "marginals":
             label = _read_marginals(path, formula.num_vars)
-            instances.append(train.LabeledInstance(formula, marginals=label))
-            continue
-        ln_count = _read_ln_count(path)
-        if ln_count is None:
-            log.warning("skipping %s: null ln_count label", name)
         else:
-            instances.append(train.LabeledInstance(formula, ln_count=float(ln_count)))
+            label = _read_ln_count(path)
+            label = None if label is None else float(label)
+        if label is None:
+            log.warning("skipping %s: null %s label", name, _LABEL_KEY[task])
+        else:
+            instances.append(train.LabeledInstance(formula, **{_LABEL_KEY[task]: label}))
     return instances
 
 
@@ -293,6 +301,8 @@ def _initial_assignment(formula, init: str, iters: int, params=None, labels=None
         return None
     if init == "file":
         marginals = _read_marginals(labels, formula.num_vars)
+        if marginals is None:
+            raise RuntimeError(f"{labels}: null marginals label (unsatisfiable formula)")
     else:
         marginals, _ = _estimate(formula, params, iters, with_count=False)
     return search.round_marginals(marginals)

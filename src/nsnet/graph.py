@@ -19,7 +19,8 @@ rounding is an ulp of the total. Clause-side sums feed ln(1 - exp(s))
 (``log1mexp``), which magnifies an error of s near 0 by 1/|s|, so they
 subtract nothing: each group of clauses of length L is multiplied by the
 all-but-self matrix 1 - I_L. Both all-but-self sums are symmetric linear
-maps, so a backward pass calls them on the gradients.
+maps, so a backward pass calls them on the gradients. Both also normalize
+value pairs through one log-sum-exp, ``logaddexp``.
 """
 
 from __future__ import annotations
@@ -239,6 +240,28 @@ def log1mexp(s: np.ndarray) -> np.ndarray:
     return np.log(-np.expm1(s))
 
 
+def logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ln(exp(a) + exp(b)) as max(a, b) + log1p(exp(-|a - b|)), in the inputs'
+    dtype. numpy's ``logaddexp`` runs a scalar loop; this runs whole-array
+    ufuncs in place and allocates one temporary besides the result. Equal
+    infinite inputs give NaN where ``np.logaddexp`` gives the infinity, so
+    the inputs must not be both -inf or both +inf."""
+    out = np.subtract(a, b)
+    np.abs(out, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(a, b)
+    return out
+
+
+def bethe_var_terms(graph: FactorGraph, lbv: np.ndarray) -> np.ndarray:
+    """(n,) variable terms (|N(i)|-1) sum_x b_i ln b_i of the Bethe ln Z from
+    the (n, 2) normalized log beliefs ``lbv``."""
+    # small ints convert to the beliefs' dtype exactly
+    return (graph.var_degree - 1).astype(lbv.dtype) * np.sum(np.exp(lbv) * lbv, axis=1)
+
+
 def bethe_sum(
     graph: FactorGraph,
     plan: EnumPlan,
@@ -248,14 +271,17 @@ def bethe_sum(
     clause_inst: np.ndarray | None = None,
     n_inst: int = 1,
 ) -> np.ndarray:
-    """Bethe ln Z per instance from normalized log beliefs: the (R,) factor
-    beliefs ``lbf`` over the plan's satisfying rows and the (n, 2) variable
-    beliefs ``lbv``, as -sum b_a ln b_a + sum_i (|N(i)|-1) sum_x b_i ln b_i.
+    """Bethe ln Z per instance of the neural model's readouts, from
+    normalized log beliefs: the (R,) factor beliefs ``lbf`` over the plan's
+    satisfying rows and the (n, 2) variable beliefs ``lbv``, as
+    -sum b_a ln b_a + sum_i (|N(i)|-1) sum_x b_i ln b_i. The factor entropy
+    is summed row by row, since the model's factor beliefs are an MLP of each
+    row; belief propagation's factor beliefs are products of messages, and
+    ``bp.bethe_ln_z`` sums their entropy in closed form without the plan.
     ``var_inst``/``clause_inst`` map a disjoint union's variables and clauses
     to instances; without them the graph is one instance."""
     factor = -np.exp(lbf) * lbf
-    weights = (graph.var_degree - 1).astype(lbv.dtype)  # small ints convert exactly
-    var = weights * np.sum(np.exp(lbv) * lbv, axis=1)
+    var = bethe_var_terms(graph, lbv)
     if var_inst is None:
         return np.array([np.sum(factor) + np.sum(var)])
     ln_z = np.zeros(n_inst, dtype=var.dtype)

@@ -35,13 +35,14 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DEFAULT_FACTOR_ENUM_CAP, EnumPlan, FactorGraph, bethe_sum, log1mexp
+from .graph import DEFAULT_FACTOR_ENUM_CAP, EnumPlan, FactorGraph, bethe_sum, log1mexp, logaddexp
 
 # clamp for ln(1 - exp(delta)); the clamped branch passes no gradient. A unit
 # clause's dissatisfying branch has no completion (delta = 0) and so gets the
@@ -52,6 +53,10 @@ DEFAULT_HIDDEN = 64
 N_HIDDEN_LAYERS = 3
 
 PARAMS_FORMAT_VERSION = 1
+
+# the five networks in their fixed order: A1, A2, A3, the variable readout
+# and the factor readout
+NETS = ("a1", "a2", "a3", "r_var", "r_fac")
 
 
 class ParamsFormatError(ValueError):
@@ -144,7 +149,7 @@ class PairNormalize:
 
     def apply(self, x: np.ndarray, scratch=None) -> np.ndarray:
         d = x.shape[1] // 2
-        return x[:, :d] - np.logaddexp(x[:, :d], x[:, d:])
+        return x[:, :d] - logaddexp(x[:, :d], x[:, d:])
 
 
 Net = Mlp | Identity | PairNormalize
@@ -164,13 +169,7 @@ class ModelParams:
     r_fac: Net
 
     def nets(self) -> list[tuple[str, Net]]:
-        return [
-            ("a1", self.a1),
-            ("a2", self.a2),
-            ("a3", self.a3),
-            ("r_var", self.r_var),
-            ("r_fac", self.r_fac),
-        ]
+        return [(name, getattr(self, name)) for name in NETS]
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         """All learnable arrays in a fixed, documented order."""
@@ -183,17 +182,12 @@ class ModelParams:
         return items
 
     def copy(self) -> "ModelParams":
-        def copy_net(net: Net) -> Net:
-            if isinstance(net, Mlp):
-                return Mlp([w.copy() for w in net.weights], [b.copy() for b in net.biases])
-            return net
+        return copy.deepcopy(self)
 
-        return ModelParams(
-            self.d,
-            self.h1.copy(),
-            self.h2.copy(),
-            *[copy_net(net) for _, net in self.nets()],
-        )
+
+def _net_dims(d: int) -> list[tuple[int, int]]:
+    """(input, output) widths of the networks named in ``NETS``, in order."""
+    return [(d, d), (2 * d, d), (d, d), (d, 1), (d, 1)]
 
 
 def _init_mlp(rng: np.random.Generator, in_dim: int, out_dim: int, hidden: int) -> Mlp:
@@ -222,16 +216,7 @@ def init_params(d: int, seed: int, hidden: int = DEFAULT_HIDDEN) -> ModelParams:
     bound = 1.0 / math.sqrt(d)
     h1 = rng.uniform(-bound, bound, size=d)
     h2 = rng.uniform(-bound, bound, size=d)
-    return ModelParams(
-        d=d,
-        h1=h1,
-        h2=h2,
-        a1=_init_mlp(rng, d, d, hidden),
-        a2=_init_mlp(rng, 2 * d, d, hidden),
-        a3=_init_mlp(rng, d, d, hidden),
-        r_var=_init_mlp(rng, d, 1, hidden),
-        r_fac=_init_mlp(rng, d, 1, hidden),
-    )
+    return ModelParams(d, h1, h2, *[_init_mlp(rng, i, o, hidden) for i, o in _net_dims(d)])
 
 
 def bp_reduction_params() -> ModelParams:
@@ -316,7 +301,7 @@ def satisfying_lse(graph: FactorGraph, v2c: np.ndarray):
     ar = np.arange(E)
     sat, unsat = graph.sat_value, graph.unsat_value
 
-    lp = np.logaddexp(v2c[:, 0], v2c[:, 1])  # (E, d)
+    lp = logaddexp(v2c[:, 0], v2c[:, 1])  # (E, d)
     excl = graph.clause_others_sum(np.stack([lp, v2c[ar, unsat]], axis=1))
     excl_tot, excl_q = excl[:, 0], excl[:, 1]
     delta = excl_q - excl_tot
@@ -417,7 +402,7 @@ def _forward(
     sv = graph.var_sum(c2v)
     rv_flat = params.r_var.apply(sv.reshape(2 * n, d))
     rv = rv_flat.reshape(n, 2)
-    lbv = rv - np.logaddexp(rv[:, 0], rv[:, 1])[:, None]
+    lbv = rv - logaddexp(rv[:, 0], rv[:, 1])[:, None]
 
     tape = _Tape(
         graph=graph,
@@ -672,16 +657,8 @@ def load_params(path) -> ModelParams:
         h2 = np.asarray(doc["h2"], dtype=float)
         if h1.shape != (d,) or h2.shape != (d,):
             raise ParamsFormatError("h1/h2 length does not match d")
-        return ModelParams(
-            d=d,
-            h1=h1,
-            h2=h2,
-            a1=decode(doc["a1"], d, d, "a1"),
-            a2=decode(doc["a2"], 2 * d, d, "a2"),
-            a3=decode(doc["a3"], d, d, "a3"),
-            r_var=decode(doc["r_var"], d, 1, "r_var"),
-            r_fac=decode(doc["r_fac"], d, 1, "r_fac"),
-        )
+        nets = [decode(doc[name], i, o, name) for name, (i, o) in zip(NETS, _net_dims(d))]
+        return ModelParams(d, h1, h2, *nets)
     except ParamsFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -15,7 +15,7 @@ import numpy as np
 
 from nsnet import bp, gen, oracle
 from nsnet.cnf import CnfFormula
-from nsnet.graph import FactorGraph, log1mexp
+from nsnet.graph import FactorGraph, bethe_sum, log1mexp
 from nsnet.oracle import enumerate_models
 
 # the running example: (x1 or not x2) and (x1 or x3) and (not x1 or x2 or x3)
@@ -350,3 +350,12 @@ def gen_sr_by_decision(n, seed):
     j = int(rng.integers(len(last)))
     clauses[-1] = last[:j] + (-last[j],) + last[j + 1:]
     return CnfFormula(n, tuple(clauses))
+
+
+def enumerated_bethe_ln_z(state, graph, cap=10):
+    """BP's Bethe ln Z with each clause's factor beliefs enumerated over its
+    2^L - 1 satisfying rows by the graph's plan and log-normalized row by
+    row: the reference for the closed form of ``bp.bethe_ln_z``."""
+    plan = graph.satisfying_enumeration(cap)
+    lbf = plan.log_normalize(plan.row_sums(state.v2c))
+    return float(bethe_sum(graph, plan, lbf, bp._variable_log_beliefs(state, graph))[0])

@@ -61,6 +61,41 @@ class TestBp:
         assert docs[0.0, 1e9]["iterations"] == 1 and docs[0.0, 1e9]["converged"]
         assert docs[0.4, 1e-300]["marginals"] != docs[0.0, 1e-8]["marginals"]
 
+    def test_counts_a_clause_longer_than_the_enumeration_cap(self, tmp_path, capsys):
+        # one 11-literal clause is a tree: BP's Bethe ln Z is ln(2^11 - 1)
+        path = tmp_path / "f.cnf"
+        path.write_text(emit_dimacs(CnfFormula(11, (tuple(range(1, 12)),))))
+        code, out = run_cli(capsys, ["bp", "--input", path, "--iters", "50"])
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["ln_z"] == pytest.approx(np.log(2**11 - 1), rel=1e-12)
+
+
+def test_unsatisfiable_formula_gets_a_null_marginals_label(tmp_path, capsys, caplog):
+    unsat = CnfFormula(2, ((1, 2), (-1,), (-2,)))
+    data = write_dataset(tmp_path, [helpers.F0, unsat, sr_formulas(1)[0]])
+    labels = tmp_path / "labels"
+    code, out = run_cli(capsys, ["label", "--data", data, "--task", "marginals", "--out", labels])
+    assert code == cli.EXIT_OK and json.loads(out)["labeled"] == 3
+    assert json.loads((labels / "0001.json").read_text()) == {"marginals": None}
+    assert json.loads((labels / "0000.json").read_text()) == {
+        "marginals": cli._marginals_to_dict(oracle.exact_marginals(helpers.F0))}
+    assert "0001.cnf is unsatisfiable; marginals label is null" in caplog.text
+
+    caplog.clear()
+    instances = cli._load_labeled(str(data), str(labels), "marginals")
+    assert [i.formula for i in instances] == [helpers.F0, sr_formulas(1)[0]]
+    assert "skipping 0001.cnf: null marginals label" in caplog.text
+    code, _ = run_cli(capsys, ["train", "--data", data, "--labels", labels, "--task", "marginals",
+                               "--max-steps", "1", "--d", "4", "--iters", "2",
+                               "--out", tmp_path / "w.json"])
+    assert code == cli.EXIT_OK
+
+    caplog.clear()
+    code, _ = run_cli(capsys, ["solve", "--input", data / "0001.cnf", "--init", "file",
+                               "--labels", labels])
+    assert code == cli.EXIT_RUNTIME
+    assert "null marginals label" in caplog.text
+
 
 def test_count_marginals_are_exact(tmp_path, capsys):
     unsat = CnfFormula(1, ((1,), (-1,)))

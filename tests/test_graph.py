@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import helpers
+from nsnet.bp import LOG_ZERO, SATURATION
 from nsnet.cnf import CnfFormula
-from nsnet.graph import build_factor_graph
+from nsnet.graph import build_factor_graph, log1mexp, logaddexp
+from nsnet.net import DELTA_CLAMP
 
 
 class TestBuild:
@@ -203,3 +205,43 @@ class TestEnumerationPlan:
                 helpers.looped_enumeration(g, cap)
             with pytest.raises(ValueError):
                 g.satisfying_enumeration(cap)
+
+
+class TestLogaddexp:
+    # the inputs BP and the model feed it: large and tiny gaps, equal
+    # values, BP's LOG_ZERO and saturation threshold, the model's clamp
+    SPECIAL = [0.0, -1e-300, 1e-12, DELTA_CLAMP, float(log1mexp(DELTA_CLAMP)), -0.5, 3.0,
+               -36.0, -37.5, SATURATION, -750.0, 700.0, 1e30, LOG_ZERO, -1e300]
+
+    @staticmethod
+    def assert_close(dtype, a, b):
+        got, ref = logaddexp(a, b), np.logaddexp(a, b)
+        assert got.dtype == dtype and got.shape == ref.shape
+        # stated before measuring: within 2 eps max(1, |z|) of numpy's
+        tol = 2 * np.finfo(dtype).eps * np.maximum(1, np.abs(ref))
+        assert np.all(np.abs(got - ref) <= tol)
+
+    def test_matches_numpy_on_finite_inputs(self):
+        rng = np.random.default_rng(3)
+        special = np.array(self.SPECIAL)
+        a, b = np.meshgrid(special, special)
+        self.assert_close(np.float64, a.ravel(), b.ravel())
+        self.assert_close(np.float64, special, special)
+        x = rng.normal(0, 30, size=(500, 2, 3))
+        self.assert_close(np.float64, x[:, 0], x[:, 1])  # strided, as BP calls it
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.longdouble])
+    def test_keeps_the_dtype(self, dtype):
+        rng = np.random.default_rng(4)
+        finite = [v for v in self.SPECIAL if abs(v) < float(np.finfo(np.float32).max)]
+        a = np.concatenate([finite, rng.normal(0, 10, 200)]).astype(dtype)
+        self.assert_close(dtype, a, a[::-1].copy())
+        self.assert_close(dtype, a, a)
+
+    def test_infinite_inputs(self):
+        a = np.array([-np.inf, np.inf, -np.inf, 2.0])
+        b = np.array([1.0, 1.0, np.inf, -np.inf])
+        assert np.array_equal(logaddexp(a, b), np.logaddexp(a, b))
+        # documented: the inputs must not be equal infinities
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(logaddexp(np.array([-np.inf, np.inf]), np.array([-np.inf, np.inf]))).all()

@@ -1,6 +1,7 @@
 """Property tests: DIMACS round trip, soundness of ``simplify``, the
-factorized satisfying-completion LSE against enumeration, and invariance of
-BP's Bethe ln Z under variable relabeling and negation.
+factorized satisfying-completion LSE against enumeration, invariance of
+BP's Bethe ln Z under variable relabeling and negation, and its closed form
+against enumeration.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -89,3 +90,15 @@ def test_bethe_ln_z_invariant_under_relabeling_and_negation(formula, data):
         return bethe_ln_z(bp_run(graph, BpConfig(max_iters=20)), graph)
 
     assert ln_z(transformed) == pytest.approx(ln_z(formula), rel=1e-9, abs=1e-9)
+
+
+@derandomized
+@given(formulas(max_len=5), st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=3),
+       st.integers(1, 30))
+def test_bethe_closed_form_equals_enumeration(formula, units, iters):
+    # unit clauses send LOG_ZERO, which saturates their neighbours' messages
+    units = tuple((u,) for u in units if abs(u) <= formula.num_vars) or ((1,),)
+    graph = build_factor_graph(CnfFormula(formula.num_vars, formula.clauses + units))
+    state = bp_run(graph, BpConfig(max_iters=iters))
+    closed, enumerated = bethe_ln_z(state, graph), helpers.enumerated_bethe_ln_z(state, graph)
+    assert abs(closed - enumerated) <= 1e-12 * abs(enumerated), (closed, enumerated)
