@@ -8,13 +8,15 @@ For each seed, runs ``nsbench/run.py --workload W --seed S`` once in each
 checkout, the parent first on odd seeds and the change first on even ones,
 each in a fresh process from the checkout's own directory. The results go
 to ``--out`` as ``{"what", "machine", "python", "numpy", "runs"}``, one run
-per record (``workload``, ``side``, ``seed``, ``correct``, ``failed`` and
-the metrics), in the order they were made; ``--append`` adds to the runs
+per record (``workload``, ``side``, ``seed``, ``correct``, ``failed``, the
+metrics, and ``minflt``, the minor page faults of the run's process), in
+the order they were made; ``--append`` adds to the runs
 already in the file. With ``--trace 1`` the per-layer metrics are recorded,
 under ``traced`` instead of ``runs``.
 
 It then prints, per workload and metric, each side's median and quartiles
-over the recorded pairs and the number of pairs the change wins. A claimed
+over the recorded pairs and the number of pairs the change wins, and each
+side's median ``minflt``. A claimed
 gain needs the change to win at least 9 of 10 pairs, and its median to be
 better than the parent's by more than the parent's interquartile range.
 """
@@ -25,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -40,10 +43,13 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark process in ``checkout``; its result line and info line."""
+    """One benchmark process in ``checkout``: its result line, its info line,
+    and its minor page faults."""
     argv = [sys.executable, "nsbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}: "
@@ -51,7 +57,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     info, result = json.loads(lines[-2])["info"], json.loads(lines[-1])
     if proc.stderr.strip():
         print(f"  {checkout.name} seed {seed}: {proc.stderr.strip()}", file=sys.stderr)
-    return {"info": info, "result": result}
+    return {"info": info, "result": result, "minflt": minflt}
 
 
 def record(workload: str, side: str, seed: int, out: dict) -> dict:
@@ -59,6 +65,7 @@ def record(workload: str, side: str, seed: int, out: dict) -> dict:
     rec = {"workload": workload, "side": side, "seed": seed,
            "correct": result["correct"], "failed": result["failed"]}
     rec.update({k: round(m["value"], 4) for k, m in result["metrics"].items()})
+    rec["minflt"] = out["minflt"]
     return rec
 
 
@@ -92,6 +99,11 @@ def summarize(runs: list[dict], better: dict[str, str]) -> None:
             print(f"  {metric:22s} parent {pm:10.4g} ({p1:.4g}-{p3:.4g})  "
                   f"change {cm:10.4g} ({c1:.4g}-{c3:.4g})  "
                   f"change wins {wins}/{len(seeds)}, median gap beyond parent IQR: {clear}")
+        faults = {side: [sides[side][s]["minflt"] for s in seeds if "minflt" in sides[side][s]]
+                  for side in sides}
+        if all(faults.values()):
+            print(f"  {'minflt':22s} parent {statistics.median(faults['parent']):10.4g}  "
+                  f"change {statistics.median(faults['change']):10.4g}")
 
 
 def main(argv=None) -> int:

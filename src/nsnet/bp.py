@@ -20,6 +20,15 @@ graph's variable sums and pair log-sum-exp, as in the neural model's
 readout. The Bethe ln Z takes each clause's factor entropy in closed form,
 O(L) for a clause of length L, where the model's readout enumerates the
 clause's 2^L - 1 satisfying rows; the two share the variable terms.
+
+A run allocates its arrays once: the current and the next messages, and two
+(E, 2) work arrays that the updates' reductions and normalization write
+their temporaries into (``out=``/``work=``, see :mod:`nsnet.graph`; the
+gathers run ``np.take`` with ``mode="clip"``, since numpy buffers the
+output of the default mode). Each iteration overwrites them, so no
+iteration allocates an array of the messages' size. The buffers belong to
+the call: the returned state's messages are two of them and nothing else
+holds them.
 """
 
 from __future__ import annotations
@@ -67,13 +76,15 @@ def _saturate(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _normalize_pairs(raw: np.ndarray) -> np.ndarray:
-    """Normalize (E, 2) log pairs in place so exp values sum to 1.
+def _normalize_pairs(raw: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """Normalize (E, 2) log pairs in place so exp values sum to 1. ``work``,
+    (2, E), takes the pair totals and their log-sum-exp's scratch.
 
     Pairs whose total mass underflows (both entries saturated, as happens on
     contradictory evidence) fall back to the uniform pair.
     """
-    z = logaddexp(raw[:, 0], raw[:, 1])
+    z, larger = (None, None) if work is None else work
+    z = logaddexp(raw[:, 0], raw[:, 1], out=z, work=larger)
     raw -= z[:, None]
     degenerate = z < SATURATION
     if degenerate.any():
@@ -81,9 +92,15 @@ def _normalize_pairs(raw: np.ndarray) -> np.ndarray:
     return _saturate(raw)
 
 
-def _v2c_update(graph: FactorGraph, c2v: np.ndarray) -> np.ndarray:
+def _v2c_update(
+    graph: FactorGraph,
+    c2v: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Eq-style variable update: sum incoming c2v over all other clauses,
-    then normalize per incidence.
+    then normalize per incidence. The messages go into ``out``; ``work``
+    holds two scratch arrays shaped like ``c2v``.
 
     The sums are the variable's total minus the incidence's own message,
     with zero-probability messages counted apart from the finite total: a
@@ -92,29 +109,47 @@ def _v2c_update(graph: FactorGraph, c2v: np.ndarray) -> np.ndarray:
     ``LOG_ZERO``. Without zero entries the count is zero everywhere and
     is skipped.
     """
+    if work is None:
+        work = np.empty((2,) + c2v.shape, c2v.dtype)
+    scratch, counts = work
     zero = c2v < SATURATION
     if not zero.any():
-        return _normalize_pairs(graph.var_others_sum(c2v))
-    raw = graph.var_others_sum(np.where(zero, 0.0, c2v))
-    raw[graph.var_others_sum(zero.astype(c2v.dtype)) > 0] = LOG_ZERO
-    return _normalize_pairs(raw)
+        return _normalize_pairs(graph.var_others_sum(c2v, out), counts.reshape(2, -1))
+    np.copyto(scratch, c2v)
+    np.putmask(scratch, zero, 0.0)
+    raw = graph.var_others_sum(scratch, out)
+    np.copyto(scratch, zero)
+    raw[graph.var_others_sum(scratch, counts) > 0] = LOG_ZERO
+    return _normalize_pairs(raw, counts.reshape(2, -1))
 
 
-def _c2v_update(graph: FactorGraph, v2c: np.ndarray) -> np.ndarray:
-    """Closed-form clause update.
+def _c2v_update(
+    graph: FactorGraph,
+    v2c: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Closed-form clause update. The messages go into ``out``; ``work``
+    holds two scratch arrays shaped like ``v2c``.
 
     The satisfying branch is 0 (the completions carry total mass 1); the
     dissatisfying branch is ln(1 - prod of the other literals' dissatisfying
     probabilities), saturating to log-zero when that product reaches 1.
     Unit clauses get the empty sum 0, hence log-zero.
     """
+    if out is None:
+        out = np.empty_like(v2c)
+    if work is None:
+        work = np.empty((2,) + v2c.shape, v2c.dtype)
     unsat = graph.unsat_slot
-    q = np.take(v2c, unsat)  # log prob each literal is dissatisfied
-    s_excl = graph.clause_others_sum(q)
+    q, s_excl = work[1].reshape(2, -1)
+    np.take(v2c, unsat, out=q, mode="clip")  # log prob each literal is dissatisfied
+    graph.clause_others_sum(q, out=s_excl, work=work[0].reshape(-1))
+    saturated = ~(s_excl < 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        unsat_msg = log1mexp(s_excl)
-    np.putmask(unsat_msg, ~(s_excl < 0), LOG_ZERO)
-    out = np.zeros_like(v2c)
+        unsat_msg = log1mexp(s_excl, out=s_excl)
+    np.putmask(unsat_msg, saturated, LOG_ZERO)
+    out[...] = 0
     np.put(out, unsat, _saturate(unsat_msg))
     return out
 
@@ -137,17 +172,26 @@ def bp_run(
     else:
         v2c = np.full((E, 2), LOG_HALF)
         c2v = np.zeros((E, 2))
+    # the next messages and the updates' scratch; each iteration's new
+    # messages are written over the arrays the previous one left behind
+    new_v2c, new_c2v = np.empty_like(v2c), np.empty_like(c2v)
+    work = np.empty((2,) + v2c.shape, v2c.dtype)
+    mixed, pairs = work[0], work[1].reshape(2, -1)
     lam = config.damping
 
     converged = False
     iterations = 0
     for _ in range(config.max_iters):
-        new_v2c = _v2c_update(graph, c2v)
+        new_v2c = _v2c_update(graph, c2v, new_v2c, work)
         if lam > 0.0:
-            new_v2c = _normalize_pairs(lam * v2c + (1.0 - lam) * new_v2c)
-        new_c2v = _c2v_update(graph, new_v2c)
+            np.multiply(v2c, lam, out=mixed)
+            np.multiply(new_v2c, 1.0 - lam, out=new_v2c)
+            new_v2c = _normalize_pairs(np.add(mixed, new_v2c, out=new_v2c), pairs)
+        new_c2v = _c2v_update(graph, new_v2c, new_c2v, work)
         if lam > 0.0:
-            new_c2v = _saturate(lam * c2v + (1.0 - lam) * new_c2v)
+            np.multiply(c2v, lam, out=mixed)
+            np.multiply(new_c2v, 1.0 - lam, out=new_c2v)
+            new_c2v = _saturate(np.add(mixed, new_c2v, out=new_c2v))
         iterations += 1
         delta = 0.0
         if E:
@@ -158,7 +202,7 @@ def bp_run(
             delta = max(
                 max(-float(dv.min()), float(dv.max())), max(-float(dc.min()), float(dc.max()))
             )
-        v2c, c2v = new_v2c, new_c2v
+        v2c, c2v, new_v2c, new_c2v = new_v2c, new_c2v, v2c, c2v
         if delta < config.convergence_eps:
             converged = True
             break

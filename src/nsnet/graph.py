@@ -21,11 +21,23 @@ subtract nothing: each group of clauses of length L is multiplied by the
 all-but-self matrix 1 - I_L. Both all-but-self sums are symmetric linear
 maps, so a backward pass calls them on the gradients. Both also normalize
 value pairs through one log-sum-exp, ``logaddexp``.
+
+The message loops run every iteration through these reductions, so each
+takes an optional ``out`` (and, where it needs scratch, ``work``) that the
+caller allocates once per call and reuses; without them the reduction
+allocates its own, with the same arithmetic. A temporary above glibc's mmap
+threshold (128 KiB by default) is a fresh mapping that page-faults on first
+touch, so a loop allocating its temporaries pays for every page of every
+iteration. The gathers run ``np.take(..., out=..., mode="clip")``: with the
+default ``mode="raise"`` numpy buffers the whole output, so ``out`` would
+save nothing. Clipping skips the bounds check, so ``FactorGraph`` checks the
+index arrays those gathers read once, when the graph is made.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -90,6 +102,26 @@ class FactorGraph:
     var_incidences: np.ndarray  # (E,) incidence ids, variable by variable
     _enum_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
+    def __post_init__(self):
+        # the reductions gather with mode="clip", which does not check bounds:
+        # a bad index must raise here, not read a clipped slot
+        E = len(self.inc_var)
+        for name, idx, bound in (
+            ("inc_var", self.inc_var, self.num_vars),
+            ("sat_value", self.sat_value, 2),
+            ("var_incidences", self.var_incidences, E),
+        ):
+            if len(idx) != E or (E and not (idx.min() >= 0 and idx.max() < bound)):
+                raise ValueError(f"{name} must hold {E} indices in [0, {bound})")
+        start = self.clause_start
+        if not (
+            len(start) == self.num_clauses + 1
+            and start[0] == 0
+            and start[-1] == E
+            and np.all(start[1:] >= start[:-1])
+        ):
+            raise ValueError(f"clause_start must rise from 0 to {E}")
+
     @property
     def num_incidences(self) -> int:
         return len(self.inc_var)
@@ -127,24 +159,54 @@ class FactorGraph:
         starts = self.clause_start[:-1]
         return [starts[lens == L] + np.arange(L)[:, None] for L in np.unique(lens[lens > 1])]
 
-    def var_sum(self, x: np.ndarray) -> np.ndarray:
+    def var_sum(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(n, ...) sums of the per-incidence rows of ``x`` per variable."""
+        return self._var_run_sums(np.take(x, self.var_incidences, axis=0), out)
+
+    def _var_run_sums(self, gathered: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(n, ...) sums of each variable's run of ``gathered``, the rows of an
+        (E, ...) array in ``var_incidences`` order; a variable without
+        incidences gets 0."""
         present, starts = self._var_runs
-        out = np.zeros((self.num_vars,) + x.shape[1:], dtype=x.dtype)
-        out[present] = np.add.reduceat(np.take(x, self.var_incidences, axis=0), starts, axis=0)
+        if out is None:
+            out = np.zeros((self.num_vars,) + gathered.shape[1:], dtype=gathered.dtype)
+        elif len(present) < self.num_vars:
+            out[...] = 0
+        out[present] = np.add.reduceat(gathered, starts, axis=0)
         return out
 
-    def var_others_sum(self, x: np.ndarray) -> np.ndarray:
-        """Per incidence, the sum of ``x`` over its variable's other incidences."""
-        return np.take(self.var_sum(x), self.inc_var, axis=0) - x
+    def var_others_sum(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per incidence, the sum of ``x`` over its variable's other incidences.
+        ``out``, shaped like ``x`` and not overlapping it, takes the gathered
+        rows before the result."""
+        if out is None:
+            out = np.empty_like(x)
+        sums = self._var_run_sums(np.take(x, self.var_incidences, axis=0, out=out, mode="clip"))
+        np.take(sums, self.inc_var, axis=0, out=out, mode="clip")
+        return np.subtract(out, x, out=out)
 
-    def clause_others_sum(self, x: np.ndarray) -> np.ndarray:
-        """Per incidence, the sum of ``x`` over its clause's other incidences."""
-        out = np.zeros_like(x)
+    def clause_others_sum(
+        self, x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per incidence, the sum of ``x`` over its clause's other incidences.
+        ``out`` is shaped like ``x``; ``work``, flat and of ``x``'s dtype,
+        holds each group of clauses and its product, twice the largest
+        group's elements (2 ``x.size`` always suffice)."""
+        if out is None:
+            out = np.empty_like(x)
+        row = math.prod(x.shape[1:])
+        if work is None:
+            largest = max((slots.size for slots in self._clause_blocks), default=0)
+            work = np.empty(2 * largest * row, x.dtype)
+        out[...] = 0  # unit clauses have no other literals
         for slots in self._clause_blocks:
+            size = slots.size * row
+            block = work[:size].reshape(slots.shape + x.shape[1:])
+            np.take(x, slots, axis=0, out=block, mode="clip")
+            prod = work[size: 2 * size].reshape(len(slots), -1)
             others = 1 - np.eye(len(slots), dtype=x.dtype)
-            block = np.take(x, slots, axis=0)
-            out[slots] = (others @ block.reshape(len(slots), -1)).reshape(block.shape)
+            np.matmul(others, block.reshape(len(slots), -1), out=prod)
+            out[slots] = prod.reshape(block.shape)
         return out
 
     def satisfying_enumeration(self, cap: int = DEFAULT_FACTOR_ENUM_CAP) -> EnumPlan:
@@ -234,24 +296,27 @@ def build_factor_graph(formula: CnfFormula) -> FactorGraph:
     )
 
 
-def log1mexp(s: np.ndarray) -> np.ndarray:
+def log1mexp(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """ln(1 - exp(s)) for s < 0, exact to rounding also for s near 0, where
     ``log1p(-exp(s))`` loses the digits of s."""
-    return np.log(-np.expm1(s))
+    return np.log(np.negative(np.expm1(s, out=out), out=out), out=out)
 
 
-def logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def logaddexp(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """ln(exp(a) + exp(b)) as max(a, b) + log1p(exp(-|a - b|)), in the inputs'
     dtype. numpy's ``logaddexp`` runs a scalar loop; this runs whole-array
-    ufuncs in place and allocates one temporary besides the result. Equal
-    infinite inputs give NaN where ``np.logaddexp`` gives the infinity, so
-    the inputs must not be both -inf or both +inf."""
-    out = np.subtract(a, b)
+    ufuncs in place, into ``out``, with max(a, b) in ``work``; either is
+    allocated when not given. Equal infinite inputs give NaN where
+    ``np.logaddexp`` gives the infinity, so the inputs must not be both -inf
+    or both +inf."""
+    out = np.subtract(a, b, out=out)
     np.abs(out, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    out += np.maximum(a, b)
+    out += np.maximum(a, b, out=work)
     return out
 
 

@@ -19,13 +19,23 @@ it to brute-force enumeration. Every sum over incidences, and the readouts'
 per-clause normalization and Bethe sum, are the factor graph's shared
 reductions (see :mod:`nsnet.graph`), the ones belief propagation runs.
 
-Training and inference share one message loop, and in both every hidden
-layer of A1, A2 and A3 is written into one of two (2E, widest hidden)
-buffers, allocated once per call and reused across the T iterations.
-Inference (:func:`forward`, and ``train.batch_loss``) keeps no tape, so the
-activations it allocates do not grow with T. Training keeps a tape of each
-iteration's MLP inputs and the intermediates of the satisfying-completion
-LSE, about 10 values per incidence and embedding coordinate. The backward
+Training and inference share one message loop. It allocates its work
+arrays once per call and writes every iteration into them with ``out=``:
+every hidden layer of A1, A2 and A3 into one of two (2E, widest hidden)
+buffers, A2's input and the satisfying-completion LSE's temporaries into a
+flat arena (:func:`_loop_arena`). A temporary above glibc's mmap threshold
+(128 KiB by default) is a fresh mapping that page-faults on each page it
+touches, so a loop that allocated them would pay that every iteration. The
+gathers run ``np.take`` with ``mode="clip"``, since numpy buffers the output
+of the default mode; the factor graph checks its indices once instead.
+Inference (:func:`forward`, and ``train.batch_loss``) keeps no tape and
+also reuses one set of the arrays a tape would record, so its iterations
+allocate no message-sized array. Training keeps a tape of each iteration's
+MLP inputs and the intermediates of the satisfying-completion LSE, about 10
+values per incidence and embedding coordinate, in arrays that are fresh
+each iteration; only the temporaries it does not keep are reused. No buffer
+outlives its call or is cached on the graph or in the module, so nothing a
+call returns shares memory with a later call. The backward
 pass recomputes each MLP's hidden layers from its input, into work buffers
 allocated once per call (activation recomputation, as in Chen et al.,
 *Training Deep Nets with Sublinear Memory Cost*), so the tape holds no
@@ -89,11 +99,13 @@ class Mlp:
     def out_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    def apply(self, x: np.ndarray, scratch: list | None = None) -> np.ndarray:
+    def apply(
+        self, x: np.ndarray, scratch: list | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Forward. With ``scratch``, two flat buffers of at least rows x
         widest hidden layer elements, hidden layer i is written into
-        ``scratch[i % 2]`` instead of a fresh array; the arithmetic is the
-        same, and the output is always a fresh array."""
+        ``scratch[i % 2]`` instead of a fresh array, and the output goes into
+        ``out`` when given; the arithmetic is the same."""
         rows = x.shape[0]
         for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
             if scratch is None:
@@ -104,7 +116,7 @@ class Mlp:
             z += b
             np.maximum(z, 0.0, out=z)
             x = z
-        out = x @ self.weights[-1].T
+        out = np.matmul(x, self.weights[-1].T, out=out)
         out += self.biases[-1]
         return out
 
@@ -139,17 +151,22 @@ class Mlp:
 class Identity:
     """Exact identity map, used by the BP-reduction configuration."""
 
-    def apply(self, x: np.ndarray, scratch=None) -> np.ndarray:
-        return x
+    def apply(self, x: np.ndarray, scratch=None, out: np.ndarray | None = None) -> np.ndarray:
+        """``x`` itself, or a copy of it in ``out`` when given."""
+        if out is None:
+            return x
+        np.copyto(out, x)
+        return out
 
 
 class PairNormalize:
     """Exact log-normalization a - log(exp(a) + exp(b)) over a (cur, flip)
     concatenated input; the BP-reduction form of the combine network."""
 
-    def apply(self, x: np.ndarray, scratch=None) -> np.ndarray:
+    def apply(self, x: np.ndarray, scratch=None, out: np.ndarray | None = None) -> np.ndarray:
         d = x.shape[1] // 2
-        return x[:, :d] - logaddexp(x[:, :d], x[:, d:])
+        lse = logaddexp(x[:, :d], x[:, d:], out=out)
+        return np.subtract(x[:, :d], lse, out=lse)
 
 
 Net = Mlp | Identity | PairNormalize
@@ -282,13 +299,21 @@ class _Tape:
     n_inst: int = 1
 
 
-def satisfying_lse(graph: FactorGraph, v2c: np.ndarray):
+def satisfying_lse(
+    graph: FactorGraph,
+    v2c: np.ndarray,
+    out: tuple | None = None,
+    work: np.ndarray | None = None,
+):
     """Coordinatewise LSE over each clause's satisfying completions.
 
     Given assignment-to-clause embeddings ``v2c`` of shape (E, 2, d),
     returns the pre-A3 aggregate ``u`` of the same shape, plus the
     intermediates the backward pass needs: the per-incidence pair-LSE
     ``lp``, the clamped log-difference ``delta_c``, and its gradient mask.
+    ``out``, when given, holds the four arrays to write them into, and
+    ``work`` is flat scratch of ``v2c``'s dtype and at least 4.5 ``v2c.size``
+    elements (see :func:`_loop_arena`); each is allocated when not given.
 
     For the satisfying branch of slot (e, x) the completion set is the full
     product set over the other variables, so the LSE is the sum of their
@@ -297,44 +322,80 @@ def satisfying_lse(graph: FactorGraph, v2c: np.ndarray):
     clause has no completions: delta = 0 there, and the clamp gives it the
     constant floor ln(1 - exp(DELTA_CLAMP)) and no gradient.
     """
-    E = graph.num_incidences
-    ar = np.arange(E)
-    sat, unsat = graph.sat_value, graph.unsat_value
+    E, _, d = v2c.shape
+    if out is None:
+        out = (np.empty(v2c.shape, v2c.dtype), None, None, None)
+    u, lp, delta_c, grad_pass = out
+    size = v2c.size
+    if work is None:
+        work = _loop_arena(E, d, v2c.dtype)
+    stacked = work[:size].reshape(E, 2, d)
+    excl = work[size: 2 * size].reshape(E, 2, d)
+    tmp = work[4 * size: 4 * size + E * d].reshape(E, d)
 
-    lp = logaddexp(v2c[:, 0], v2c[:, 1])  # (E, d)
-    excl = graph.clause_others_sum(np.stack([lp, v2c[ar, unsat]], axis=1))
+    lp = logaddexp(v2c[:, 0], v2c[:, 1], out=lp, work=tmp)  # (E, d)
+    stacked[:, 0] = lp
+    stacked[:, 1] = np.take(v2c.reshape(2 * E, d), graph.unsat_slot, axis=0, out=tmp, mode="clip")
+    graph.clause_others_sum(stacked, out=excl, work=work[2 * size: 4 * size])
     excl_tot, excl_q = excl[:, 0], excl[:, 1]
-    delta = excl_q - excl_tot
-    delta_c = np.minimum(delta, DELTA_CLAMP)
-    grad_pass = delta < DELTA_CLAMP
-    u_unsat = excl_tot + log1mexp(delta_c)
-    u = np.empty_like(v2c)
-    u[ar, sat] = excl_tot
-    u[ar, unsat] = u_unsat
+    delta = np.subtract(excl_q, excl_tot, out=tmp)
+    grad_pass = np.less(delta, DELTA_CLAMP, out=grad_pass)
+    delta_c = np.minimum(delta, DELTA_CLAMP, out=delta_c)
+    u_unsat = log1mexp(delta_c, out=tmp)
+    u_unsat += excl_tot
+    u[...] = excl_tot[:, None]  # the satisfying slots; the others are overwritten next
+    u.reshape(2 * E, d)[graph.unsat_slot] = u_unsat
     return u, lp, delta_c, grad_pass
 
 
-def _pair(t: np.ndarray) -> np.ndarray:
-    """A2's (2E, 2d) input: each slot's A1 output next to its flipped value's."""
+def _pair(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A2's (2E, 2d) input: each slot's A1 output next to its flipped value's,
+    written into ``out`` ((E, 2, 2d)) when given."""
     E, _, d = t.shape
-    return np.concatenate([t, t[:, ::-1]], axis=2).reshape(2 * E, 2 * d)
+    return np.concatenate([t, t[:, ::-1]], axis=2, out=out).reshape(2 * E, 2 * d)
+
+
+def _loop_arena(E: int, d: int, dtype) -> np.ndarray:
+    """Flat scratch for the message loop, 4.5 units of (E, 2, d) elements.
+    An iteration uses it in turn for: A1's input s1 (unit 0) and output t
+    (unit 1) when no tape keeps them, A2's input pair (units 2-3), then
+    :func:`satisfying_lse`'s stacked input (unit 0), its clause sums
+    (unit 1) and their work (units 2-3), and an (E, d) scratch (unit 4);
+    each region is dead before the next use writes it."""
+    return np.empty(9 * E * d, dtype)
+
+
+def _iteration_arrays(E: int, d: int, dtype, arena: np.ndarray | None = None) -> _IterTape:
+    """Arrays for the values one iteration records. With ``arena`` (a
+    tape-free loop, which reuses these every iteration), s1 and t are its
+    first two units."""
+    pair_shape = (2, E, 2, d)
+    s1, t = np.empty(pair_shape, dtype) if arena is None else arena[: 4 * E * d].reshape(pair_shape)
+    u, v2c = np.empty(pair_shape, dtype)
+    lp, delta_c = np.empty((2, E, d), dtype)
+    return _IterTape(s1, t, u, v2c, lp, delta_c, grad_pass=np.empty((E, d), bool))
 
 
 def _message_iteration(
-    graph: FactorGraph, params: ModelParams, c2v: np.ndarray, scratch: list, keep_tape: bool
-):
-    """One round of updates; returns (v2c, c2v, iteration tape). The MLPs'
-    hidden layers go into the two ``scratch`` buffers; the iteration tape,
-    None without ``keep_tape``, records the MLPs' inputs."""
+    graph: FactorGraph,
+    params: ModelParams,
+    c2v: np.ndarray,
+    scratch: list,
+    arena: np.ndarray,
+    it: _IterTape,
+) -> None:
+    """One round of updates. The new c2v messages overwrite ``c2v``; every
+    value the tape records (the new v2c among them) goes into ``it``'s
+    arrays, the MLPs' hidden layers into the two ``scratch`` buffers, and
+    every other temporary into ``arena`` (see :func:`_loop_arena`)."""
     E, d = graph.num_incidences, params.d
-    s1 = graph.var_others_sum(c2v)
-    t = params.a1.apply(s1.reshape(2 * E, d), scratch).reshape(E, 2, d)
-    v2c = params.a2.apply(_pair(t), scratch).reshape(E, 2, d)
-    u, lp, delta_c, grad_pass = satisfying_lse(graph, v2c)
-    c2v_new = params.a3.apply(u.reshape(2 * E, d), scratch).reshape(E, 2, d)
-    if not keep_tape:
-        return v2c, c2v_new, None
-    return v2c, c2v_new, _IterTape(s1, t, u, v2c, lp, delta_c, grad_pass)
+    size = c2v.size
+    s1 = graph.var_others_sum(c2v, out=it.s1)
+    t = params.a1.apply(s1.reshape(2 * E, d), scratch, out=it.t.reshape(2 * E, d))
+    pair = _pair(t.reshape(E, 2, d), out=arena[2 * size: 4 * size].reshape(E, 2, 2 * d))
+    params.a2.apply(pair, scratch, out=it.v2c.reshape(2 * E, d))
+    satisfying_lse(graph, it.v2c, out=(it.u, it.lp, it.delta_c, it.grad_pass), work=arena)
+    params.a3.apply(it.u.reshape(2 * E, d), scratch, out=c2v.reshape(2 * E, d))
 
 
 def _hidden_buffers(nets, rows: int, dtype, count: int) -> list[np.ndarray]:
@@ -369,8 +430,8 @@ def _forward(
 
     ``var_inst``/``clause_inst`` map variables and clauses to instance ids
     when the graph is a disjoint union of several formulas; ln Z then comes
-    out per instance. By default everything is instance 0. The hidden
-    layers of A1, A2 and A3 go into two buffers allocated here. With
+    out per instance. By default everything is instance 0. The loop's work
+    arrays are allocated here, once (see :func:`forward`). With
     ``keep_tape`` each iteration records the MLPs' inputs and the
     intermediates :func:`backward` needs, and the tape keeps the readouts'
     inputs; without it ``iters`` stays empty and :func:`backward` refuses
@@ -388,14 +449,23 @@ def _forward(
         assert clause_inst is not None
         n_inst = int(var_inst.max()) + 1 if n else 1
 
-    c2v = np.broadcast_to(params.h2, (E, 2, d)).copy()
+    loop_nets = (params.a1, params.a2, params.a3)
+    weights = [w for net in loop_nets if isinstance(net, Mlp) for w in net.weights]
+    dtype = np.result_type(params.h2, *weights)
+    c2v = np.empty((E, 2, d), dtype)
+    c2v[...] = params.h2
     v2c = np.broadcast_to(params.h1, (E, 2, d)).copy()
-    scratch = _hidden_buffers((params.a1, params.a2, params.a3), 2 * E, c2v.dtype, 2)
+    scratch = _hidden_buffers(loop_nets, 2 * E, dtype, 2)
+    arena = _loop_arena(E, d, dtype)
+    reused = None if keep_tape else _iteration_arrays(E, d, dtype, arena)
     iters: list[_IterTape] = []
     for _ in range(T):
-        v2c, c2v, it = _message_iteration(graph, params, c2v, scratch, keep_tape)
+        it = _iteration_arrays(E, d, dtype) if keep_tape else reused
+        _message_iteration(graph, params, c2v, scratch, arena, it)
+        v2c = it.v2c
         if keep_tape:
             iters.append(it)
+    del scratch, arena, reused  # the readouts need none of the loop's work arrays
 
     # variable readout: sum incoming c2v per assignment node, then a two-way
     # softmax over the value axis
@@ -442,11 +512,16 @@ def forward(
     computed as well, which requires every clause length to be at most
     ``factor_cap`` (marginals have no such restriction).
 
-    Keeps no tape: besides its outputs and each iteration's (E, 2, d)
-    temporaries, freed as the loop moves on, a call allocates two
-    (2E, widest hidden) buffers that every hidden layer of A1, A2 and A3
-    reuses, so its peak memory does not grow with T. The numbers are those
-    of the forward that keeps a tape for training, bit for bit.
+    Keeps no tape. Before its loop, a call allocates, in the model's dtype:
+    the c2v messages; one set of the arrays an iteration writes (v2c, A3's
+    input, the pair-LSE and the clamped log-difference, a boolean gradient
+    mask); the loop's arena of 4.5 (E, 2, d) units (:func:`_loop_arena`);
+    and two (2E, widest hidden) buffers that every hidden layer of A1, A2
+    and A3 reuses. Every iteration writes into these, so no iteration
+    allocates an array of the messages' size and peak memory does not grow
+    with T. The readouts then allocate their own arrays, and none of the
+    loop's is returned. The numbers are those of the forward that keeps a
+    tape for training, bit for bit.
     """
     tape = _forward(
         graph, params, T, want_count=with_count, factor_cap=factor_cap, keep_tape=False

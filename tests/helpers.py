@@ -228,9 +228,11 @@ def looped_c2v_update(graph, v2c):
 
 
 def looped_bp_run(graph, config, initial=None):
-    """``bp_run`` with its message updates swapped for the looped ones."""
+    """``bp_run`` with its message updates swapped for the looped ones, which
+    leave the run's buffers unused and return fresh arrays."""
     saved = bp._v2c_update, bp._c2v_update
-    bp._v2c_update, bp._c2v_update = looped_v2c_update, looped_c2v_update
+    bp._v2c_update = lambda graph, c2v, *buffers: looped_v2c_update(graph, c2v)
+    bp._c2v_update = lambda graph, v2c, *buffers: looped_c2v_update(graph, v2c)
     try:
         return bp.bp_run(graph, config, initial)
     finally:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,23 @@ class TestBuild:
         for clause in ((3, 1, 3), (2, -3, -2)):
             with pytest.raises(ValueError, match=r"clause 2 mentions variable [23] twice"):
                 build_factor_graph(CnfFormula(3, ((1, -2, 3), clause, (3,))))
+
+    def test_rejects_out_of_range_indices(self):
+        # the reductions gather without numpy's bounds check, so the graph
+        # checks the index arrays they read when it is made
+        g = build_factor_graph(helpers.F0)
+        E = g.num_incidences
+        bad = {
+            "inc_var": np.full(E, g.num_vars),
+            "sat_value": np.full(E, 2),
+            "var_incidences": np.arange(E) - 1,
+            "clause_start": np.array([0, 2, 4, E + 1]),
+        }
+        for name, value in bad.items():
+            with pytest.raises(ValueError, match=name):
+                dataclasses.replace(g, **{name: value})
+        with pytest.raises(ValueError, match="var_incidences"):
+            dataclasses.replace(g, var_incidences=g.var_incidences[:-1])
 
     def test_equals_looped_reference(self):
         rng = np.random.default_rng(5)
@@ -245,3 +264,34 @@ class TestLogaddexp:
         # documented: the inputs must not be equal infinities
         with np.errstate(invalid="ignore"):
             assert np.isnan(logaddexp(np.array([-np.inf, np.inf]), np.array([-np.inf, np.inf]))).all()
+
+
+class TestReductionsIntoOut:
+    """The message loops hand the reductions arrays to write into; every
+    entry must come out as the allocating call computes it."""
+
+    def test_out_gives_the_allocated_values(self):
+        # unit clauses and isolated variables: the entries only a zero fill
+        # reaches; three clause lengths: several groups through one work array
+        g = build_factor_graph(CnfFormula(7, ((1,), (-2, 3), (1, -3, 4), (2, 4, -5, 6), (-4,))))
+        rng = np.random.default_rng(8)
+        for tail in ((), (2,), (2, 3)):
+            x = rng.normal(size=(g.num_incidences,) + tail)
+            cases = {
+                "var_sum": (g.var_sum, (g.num_vars,) + tail),
+                "var_others_sum": (g.var_others_sum, x.shape),
+                "clause_others_sum": (g.clause_others_sum, x.shape),
+            }
+            for name, (reduce, shape) in cases.items():
+                out = np.full(shape, np.nan)
+                assert reduce(x, out) is out, name
+                assert np.array_equal(out, reduce(x)), name
+            out, work = np.full_like(x, np.nan), np.full(2 * x.size, np.nan)
+            assert np.array_equal(g.clause_others_sum(x, out, work), g.clause_others_sum(x))
+        a, b = rng.normal(size=(2, 50))
+        out, work = np.full(50, np.nan), np.full(50, np.nan)
+        assert logaddexp(a, b, out, work) is out
+        assert np.array_equal(out, logaddexp(a, b))
+        s = -rng.random(50)
+        assert log1mexp(s, out) is out
+        assert np.array_equal(out, log1mexp(s))

@@ -9,7 +9,7 @@ import helpers
 from nsnet import net, oracle
 from nsnet.bp import BpConfig, bethe_ln_z, bp_marginals, bp_run
 from nsnet.cnf import CnfFormula
-from nsnet.graph import build_factor_graph, log1mexp
+from nsnet.graph import FactorGraph, build_factor_graph, log1mexp
 from nsnet.net import (
     DELTA_CLAMP,
     Mlp,
@@ -223,8 +223,33 @@ class TestTapeFree:
                 for with_count in (True, False):
                     self.assert_equals_tape_path(graph, params, T, with_count)
 
-    def test_float32_stays_float32(self):
-        # a buffer allocated as float64 would upcast the float32 MLPs silently
+    def test_float32_stays_float32(self, monkeypatch):
+        # a buffer allocated as float64 would upcast the float32 MLPs, or
+        # take their float32 results and pass them on downcast, silently:
+        # every array the loop's iterations, networks and reductions see
+        # must be float32
+        seen = set()
+
+        def arrays(values):
+            for v in values:
+                if isinstance(v, np.ndarray):
+                    yield v
+                elif isinstance(v, (list, tuple)):
+                    yield from arrays(v)
+                elif isinstance(v, net._IterTape):
+                    yield from arrays(vars(v).values())
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                seen.update(a.dtype for a in arrays((*args, *kwargs.values(), result)))
+                return result
+            return wrapped
+
+        for owner, name in [(net, "_message_iteration"), (net, "satisfying_lse"),
+                            (net, "logaddexp"), (net, "log1mexp"), (net.Mlp, "apply"),
+                            (FactorGraph, "var_others_sum"), (FactorGraph, "clause_others_sum")]:
+            monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
         params = _cast(init_params(16, 0), np.float32)
         for name, formula in helpers.inference_corpus().items():
             graph = build_factor_graph(formula)
@@ -234,6 +259,25 @@ class TestTapeFree:
                 if with_count:
                     assert all(b.dtype == np.float32 for b in out.factor_beliefs), name
                 self.assert_equals_tape_path(graph, params, 10, with_count)
+        assert {dt for dt in seen if dt.kind == "f"} == {np.dtype(np.float32)}
+
+    def test_outputs_and_tape_keep_their_values_across_calls(self):
+        # a call's buffers are its own: later calls on the same graph leave
+        # what an earlier one returned as it was, and each iteration a tape
+        # records has arrays of its own
+        graph = build_factor_graph(helpers.inference_corpus()["3sat"])
+        params = init_params(16, 0)
+        out = forward(graph, params, 5)
+        tape = net._forward(graph, params, 3, want_count=True)
+        recorded = [a for it in tape.iters for a in vars(it).values()]
+        for i, a in enumerate(recorded):
+            assert not any(np.shares_memory(a, b) for b in recorded[i + 1:])
+        returned = [out.marginals, *out.factor_beliefs, tape.lbv, tape.lbf, tape.sv, *recorded]
+        kept = [a.copy() for a in returned]
+        forward(graph, params, 5)
+        forward(graph, params, 5, with_count=False)
+        net._forward(graph, params, 3, want_count=True)
+        assert all(np.array_equal(a, b) for a, b in zip(returned, kept))
 
     def test_peak_memory_does_not_grow_with_T(self):
         graph = build_factor_graph(
