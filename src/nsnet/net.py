@@ -21,26 +21,39 @@ reductions (see :mod:`nsnet.graph`), the ones belief propagation runs.
 
 Training and inference share one message loop. It allocates its work
 arrays once per call and writes every iteration into them with ``out=``:
-every hidden layer of A1, A2 and A3 into one of two (2E, widest hidden)
-buffers, A2's input and the satisfying-completion LSE's temporaries into a
-flat arena (:func:`_loop_arena`). A temporary above glibc's mmap threshold
-(128 KiB by default) is a fresh mapping that page-faults on each page it
-touches, so a loop that allocated them would pay that every iteration. The
-gathers run ``np.take`` with ``mode="clip"``, since numpy buffers the output
-of the default mode; the factor graph checks its indices once instead.
-Inference (:func:`forward`, and ``train.batch_loss``) keeps no tape and
-also reuses one set of the arrays a tape would record, so its iterations
-allocate no message-sized array. Training keeps a tape of each iteration's
-MLP inputs and the intermediates of the satisfying-completion LSE, about 10
-values per incidence and embedding coordinate, in arrays that are fresh
-each iteration; only the temporaries it does not keep are reused. No buffer
+A2's input and the satisfying-completion LSE's temporaries into a flat
+arena (:func:`_loop_arena`), the MLPs' hidden layers into two buffers of
+one block of rows. A temporary above glibc's mmap threshold (128 KiB by
+default) is a fresh mapping that page-faults on each page it touches, so a
+loop that allocated them would pay that every iteration. The gathers run
+``np.take`` with ``mode="clip"``, since numpy buffers the output of the
+default mode; the factor graph checks its indices once instead. Inference
+(:func:`forward`, and ``train.batch_loss``) keeps no tape and also reuses
+one set of the arrays a tape would record, so its iterations allocate no
+message-sized array. Training keeps a tape of each iteration's MLP inputs
+and the intermediates of the satisfying-completion LSE, about 10 values per
+incidence and embedding coordinate, in arrays that are fresh each
+iteration; only the temporaries it does not keep are reused. No buffer
 outlives its call or is cached on the graph or in the module, so nothing a
-call returns shares memory with a later call. The backward
-pass recomputes each MLP's hidden layers from its input, into work buffers
-allocated once per call (activation recomputation, as in Chen et al.,
-*Training Deep Nets with Sublinear Memory Cost*), so the tape holds no
-(2E, hidden) activations. Both paths run the same arithmetic and give
-bit-identical outputs.
+call returns shares memory with a later call. The backward pass recomputes
+each MLP's hidden layers from its input (activation recomputation, as in
+Chen et al., *Training Deep Nets with Sublinear Memory Cost*), so the tape
+holds no (2E, hidden) activations, and writes its own loop into arrays
+allocated once per call (:func:`_backward_arena`). Both paths run the same
+arithmetic and give bit-identical outputs.
+
+The MLPs of the loop, and every MLP's backward, are cache-blocked (as in
+Goto and van de Geijn, *Anatomy of High-Performance Matrix
+Multiplication*): they run ``BLOCK_ROWS`` rows at a time, so a block's
+hidden layers stay in a core's L2 cache from the matmul through the bias
+add, the ReLU, the mask and the bias gradient, where a (2E, 64) layer of a
+training batch (4.7 MB at E = 4,626) would stream from memory at each step.
+The rows are split evenly (:func:`_row_blocks`), which keeps every output
+and input gradient bit-identical to an unblocked pass; only the parameter
+gradients, summed block by block, change in rounding. The readouts' forward
+is not blocked: its 64->1 output layer is a matrix-vector product, whose
+rounding in OpenBLAS depends on the number of rows, so blocking would move
+the marginals and ln Z in their last bits.
 """
 
 from __future__ import annotations
@@ -64,6 +77,14 @@ N_HIDDEN_LAYERS = 3
 
 PARAMS_FORMAT_VERSION = 1
 
+# rows per block of a blocked MLP pass (see _row_blocks): a block's (512, 64)
+# float64 hidden layer is 256 KiB, so the matmul, bias add, ReLU, mask and
+# bias gradient that follow one another on it stay within a core's L2 cache,
+# where a whole (2E, 64) layer streams from memory. On a training batch of
+# E = 4,626, train.grad was as fast or faster at 512 rows than at 256, 1024
+# or 2048
+BLOCK_ROWS = 512
+
 # the five networks in their fixed order: A1, A2, A3, the variable readout
 # and the factor readout
 NETS = ("a1", "a2", "a3", "r_var", "r_fac")
@@ -71,6 +92,18 @@ NETS = ("a1", "a2", "a3", "r_var", "r_fac")
 
 class ParamsFormatError(ValueError):
     """Weight file is corrupted, has the wrong version, or bad shapes."""
+
+
+def _row_blocks(rows: int) -> list[tuple[int, int]]:
+    """(start, stop) of ceil(rows / BLOCK_ROWS) blocks of near-equal length,
+    the i-th starting at rows * i // k. OpenBLAS 0.3.31 rounds a row
+    differently in a short matmul: below 76 rows for a 64->16 layer and
+    below 19 rows for a 64->64 one. An even split never makes a block that
+    short unless the input is (over 512 rows, every block has at least 256),
+    so a blocked pass gives the unblocked pass's values bit for bit, where
+    ``range(0, rows, BLOCK_ROWS)`` would leave a short tail."""
+    k = -(-rows // BLOCK_ROWS)
+    return [(rows * i // k, rows * (i + 1) // k) for i in range(k)]
 
 
 class Mlp:
@@ -102,10 +135,22 @@ class Mlp:
     def apply(
         self, x: np.ndarray, scratch: list | None = None, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Forward. With ``scratch``, two flat buffers of at least rows x
-        widest hidden layer elements, hidden layer i is written into
-        ``scratch[i % 2]`` instead of a fresh array, and the output goes into
-        ``out`` when given; the arithmetic is the same."""
+        """Forward. With ``scratch``, two flat buffers of at least one
+        block's rows x widest hidden layer elements (see
+        :func:`_hidden_buffers`), the rows run in the blocks of
+        :func:`_row_blocks`: a block's hidden layer i is written into
+        ``scratch[i % 2]`` and its output into its rows of ``out``, which is
+        allocated when not given. Every row gets the unblocked pass's
+        values."""
+        if scratch is None:
+            return self._apply_block(x, None, out)
+        if out is None:
+            out = np.empty((x.shape[0], self.out_dim), np.result_type(x, *self.weights))
+        for lo, hi in _row_blocks(x.shape[0]):
+            self._apply_block(x[lo:hi], scratch, out[lo:hi])
+        return out
+
+    def _apply_block(self, x: np.ndarray, scratch: list | None, out: np.ndarray | None):
         rows = x.shape[0]
         for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
             if scratch is None:
@@ -120,11 +165,25 @@ class Mlp:
         out += self.biases[-1]
         return out
 
-    def backward(self, dy: np.ndarray, x: np.ndarray, grads, name: str, work: list):
+    def backward(
+        self, dy: np.ndarray, x: np.ndarray, grads, name: str, work: list,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Accumulate the parameter grads of output grad ``dy`` at input ``x``
-        into ``grads`` and return the input grad. Hidden layer i is
-        recomputed into ``work[i]`` (see :func:`_work`), whose last, boolean
-        buffer takes each ReLU mask; a layer's input grad then overwrites it."""
+        into ``grads`` and return the input grad, written into ``out`` when
+        given. The rows run in the blocks of :func:`_row_blocks`: a block's
+        hidden layer i is recomputed into ``work[i]`` (see :func:`_work`),
+        whose last, boolean buffer takes each ReLU mask; a layer's input grad
+        then overwrites it. Each row's input grad is the unblocked pass's;
+        the parameter grads are summed block by block, so on more than
+        ``BLOCK_ROWS`` rows they differ from a one-block sum in rounding."""
+        if out is None:
+            out = np.empty((x.shape[0], self.in_dim), np.result_type(dy, *self.weights))
+        for lo, hi in _row_blocks(x.shape[0]):
+            self._backward_block(dy[lo:hi], x[lo:hi], grads, name, work, out[lo:hi])
+        return out
+
+    def _backward_block(self, dy, x, grads, name: str, work: list, out: np.ndarray) -> None:
         rows = x.shape[0]
         mask_buf = work[-1]
         layers = [x]
@@ -145,7 +204,7 @@ class Mlp:
             dz *= mask
         grads[f"{name}.w0"] += dz.T @ x
         grads[f"{name}.b0"] += dz.sum(axis=0)
-        return dz @ self.weights[0]
+        np.matmul(dz, self.weights[0], out=out)
 
 
 class Identity:
@@ -164,8 +223,11 @@ class PairNormalize:
     concatenated input; the BP-reduction form of the combine network."""
 
     def apply(self, x: np.ndarray, scratch=None, out: np.ndarray | None = None) -> np.ndarray:
-        d = x.shape[1] // 2
-        lse = logaddexp(x[:, :d], x[:, d:], out=out)
+        """With ``scratch``, the last of its flat buffers, of at least rows
+        x d elements, takes max(a, b); with ``out`` the result goes there."""
+        rows, d = x.shape[0], x.shape[1] // 2
+        work = None if scratch is None else scratch[-1][: rows * d].reshape(rows, d)
+        lse = logaddexp(x[:, :d], x[:, d:], out=out, work=work)
         return np.subtract(x[:, :d], lse, out=lse)
 
 
@@ -393,24 +455,30 @@ def _message_iteration(
     s1 = graph.var_others_sum(c2v, out=it.s1)
     t = params.a1.apply(s1.reshape(2 * E, d), scratch, out=it.t.reshape(2 * E, d))
     pair = _pair(t.reshape(E, 2, d), out=arena[2 * size: 4 * size].reshape(E, 2, 2 * d))
-    params.a2.apply(pair, scratch, out=it.v2c.reshape(2 * E, d))
+    # s1 is dead now, so arena unit 0 (which holds it without a tape) is
+    # free: it is the extra scratch buffer where a pair normalization, which
+    # has no hidden layer, takes max(a, b) on all 2E rows
+    params.a2.apply(pair, [*scratch, arena[:size]], out=it.v2c.reshape(2 * E, d))
     satisfying_lse(graph, it.v2c, out=(it.u, it.lp, it.delta_c, it.grad_pass), work=arena)
     params.a3.apply(it.u.reshape(2 * E, d), scratch, out=c2v.reshape(2 * E, d))
 
 
 def _hidden_buffers(nets, rows: int, dtype, count: int) -> list[np.ndarray]:
     """``count`` flat buffers, each able to hold any hidden layer of the MLPs
-    among ``nets`` on ``rows`` rows, in the dtype their matmuls produce from
-    ``dtype`` inputs."""
+    among ``nets`` on one block of a blocked pass over up to ``rows`` rows
+    (min(rows, BLOCK_ROWS) rows; see :func:`_row_blocks`), in the dtype their
+    matmuls produce from ``dtype`` inputs. Sized by the block, not the
+    input, they stay in cache however large the graph."""
     hidden = [w for net in nets if isinstance(net, Mlp) for w in net.weights[:-1]]
-    size = rows * max((w.shape[0] for w in hidden), default=0)
+    size = min(rows, BLOCK_ROWS) * max((w.shape[0] for w in hidden), default=0)
     dtype = np.result_type(dtype, *hidden)
     return [np.empty(size, dtype) for _ in range(count)]
 
 
 def _work(nets, rows: int, dtype) -> list[np.ndarray]:
-    """Work buffers for :meth:`Mlp.backward` on up to ``rows`` rows: one per
-    hidden layer of the deepest MLP among ``nets``, then a boolean one."""
+    """Work buffers for :meth:`Mlp.backward` on up to ``rows`` rows, each of
+    one block: one per hidden layer of the deepest MLP among ``nets``, then
+    a boolean one."""
     depth = max((len(net.weights) - 1 for net in nets if isinstance(net, Mlp)), default=0)
     bufs = _hidden_buffers(nets, rows, dtype, depth)
     return bufs + [np.empty(bufs[0].size if bufs else 0, dtype=bool)]
@@ -516,12 +584,16 @@ def forward(
     the c2v messages; one set of the arrays an iteration writes (v2c, A3's
     input, the pair-LSE and the clamped log-difference, a boolean gradient
     mask); the loop's arena of 4.5 (E, 2, d) units (:func:`_loop_arena`);
-    and two (2E, widest hidden) buffers that every hidden layer of A1, A2
-    and A3 reuses. Every iteration writes into these, so no iteration
-    allocates an array of the messages' size and peak memory does not grow
-    with T. The readouts then allocate their own arrays, and none of the
-    loop's is returned. The numbers are those of the forward that keeps a
-    tape for training, bit for bit.
+    and two buffers of one block of rows (at most ``BLOCK_ROWS`` x widest
+    hidden layer) that every hidden layer of A1, A2 and A3 reuses, block by
+    block (:meth:`Mlp.apply`; the blocks split the rows evenly, which keeps
+    every value bit-identical to an unblocked pass). Every iteration writes
+    into these, so no iteration allocates an array of the messages' size
+    and peak memory does not grow with T. The readouts then allocate their
+    own arrays and run unblocked, since their 64->1 output layer rounds
+    differently on fewer rows; none of the loop's arrays is returned. The
+    numbers are those of the forward that keeps a tape for training, bit
+    for bit.
     """
     tape = _forward(
         graph, params, T, want_count=with_count, factor_cap=factor_cap, keep_tape=False
@@ -543,6 +615,16 @@ def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.param_items()}
 
 
+def _backward_arena(E: int, d: int, dtype) -> np.ndarray:
+    """Flat scratch for :func:`backward`'s loop, 8 units of (E, 2, d)
+    elements. An iteration uses unit 0 for dc2v, unit 1 for A3's input grad
+    du and then dt, units 2 and 3 for the clause sums' input (later ds1) and
+    output, units 4-5 for their work, unit 6 for dv2c and unit 7 for two
+    (E, d) temporaries; A2's input pair takes units 4-5 and its input grad
+    units 2-3 once the clause sums are dead."""
+    return np.empty(16 * E * d, dtype)
+
+
 def backward(
     tape: _Tape,
     params: ModelParams,
@@ -557,8 +639,12 @@ def backward(
     to be MLPs (the exact reduction mode has no trainable parameters).
 
     Each MLP's hidden layers are recomputed from the input the tape holds,
-    into work buffers allocated here: one set for the factor readout on the
-    plan's rows, freed before the set that the other MLPs share.
+    one block of rows at a time, into one set of block-sized work buffers
+    that all five MLPs share. The loop's arrays (:func:`_backward_arena`)
+    are allocated once per call and every iteration writes into them, so no
+    iteration allocates an array of the messages' size. The gathers and the
+    scatter onto the dissatisfying slots run on flat slot indices with
+    ``np.take(..., mode="clip")``, as in the forward.
     """
     for name, net in params.nets():
         if not isinstance(net, Mlp):
@@ -568,17 +654,18 @@ def backward(
     graph = tape.graph
     E = graph.num_incidences
     n, d = graph.num_vars, tape.d
-    ar = np.arange(E)
-    sat, unsat = graph.sat_value, graph.unsat_value
     dtype = tape.lbv.dtype
     grads = zero_grads(params)
 
     dlbv = np.zeros((n, 2), dtype) if dlbv is None else np.array(dlbv, dtype=dtype)
-    dv2c_final = np.zeros((E, 2, d), dtype)
+    dv2c_final = None
     dlnz_vec = np.asarray(dlnz, dtype=dtype)
     if dlnz_vec.ndim == 0:
         dlnz_vec = np.full(tape.n_inst, dlnz_vec, dtype=dtype)
     with_count = tape.want_count and bool(np.any(dlnz_vec != 0.0))
+    # one set of work buffers for every MLP, the factor readout's plan rows too
+    rows = max(2 * E, 2 * n, 0 if tape.sf is None else len(tape.sf))
+    work = _work([net for _, net in params.nets()], rows, dtype)
     if with_count:
         assert tape.plan is not None and tape.lbf is not None
         plan, lbf = tape.plan, tape.lbf
@@ -589,62 +676,84 @@ def backward(
         dlbf = dlnz_vec[tape.clause_inst[plan.row_clause]] * (-np.exp(lbf) * (1.0 + lbf))
         # log-normalization per clause: lbf = rf - LSE(rf over the clause)
         drf = dlbf - np.exp(lbf) * np.take(plan.clause_sums(dlbf), plan.row_clause)
-        # the factor readout runs on the plan's rows, often more than 2E: its
-        # work buffers are its own and are freed before the loop's are made
-        r_fac_work = _work([params.r_fac], plan.num_rows, dtype)
-        dsf = params.r_fac.backward(drf[:, None], tape.sf, grads, "r_fac", r_fac_work)
-        del r_fac_work
+        dsf = params.r_fac.backward(drf[:, None], tape.sf, grads, "r_fac", work)
         dv2c_final = plan.scatter_rows(dsf, E)
-    work = _work([net for _, net in params.nets()], max(2 * E, 2 * n), dtype)
+
+    size = E * 2 * d
+    arena = _backward_arena(E, d, dtype)
+    dc2v, du, dstack, dexcl, _, _, dv2c = arena[: 7 * size].reshape(7, E, 2, d)
+    cwork = arena[4 * size: 6 * size]
+    pair = cwork.reshape(E, 2, 2 * d)
+    dpair = arena[2 * size: 4 * size].reshape(E, 2, 2 * d)
+    tmp, du_unsat = arena[7 * size:].reshape(2, E, d)
+    sat_slot, unsat_slot = 2 * np.arange(E) + graph.sat_value, graph.unsat_slot
 
     # two-way softmax: lbv = rv - logaddexp(rv0, rv1)
     drv = dlbv - np.exp(tape.lbv) * dlbv.sum(axis=1, keepdims=True)
     dsv = params.r_var.backward(
         drv.reshape(2 * n, 1), tape.sv.reshape(2 * n, d), grads, "r_var", work
     ).reshape(n, 2, d)
-    dc2v = np.take(dsv, graph.inc_var, axis=0)
+    np.take(dsv, graph.inc_var, axis=0, out=dc2v, mode="clip")
 
-    dv2c_pending = dv2c_final
+    if dv2c_final is None:
+        dv2c[...] = 0
+    else:
+        np.copyto(dv2c, dv2c_final)
     for k in range(tape.T - 1, -1, -1):
         it = tape.iters[k]
-        du = params.a3.backward(
-            dc2v.reshape(2 * E, d), it.u.reshape(2 * E, d), grads, "a3", work
-        ).reshape(E, 2, d)
-        dexcl_tot = du[ar, sat].copy()
+        params.a3.backward(
+            dc2v.reshape(2 * E, d), it.u.reshape(2 * E, d), grads, "a3", work,
+            du.reshape(2 * E, d),
+        )
+        # satisfying_lse's adjoint: a slot's satisfying value is excl_tot, its
+        # dissatisfying one excl_tot + log1mexp(delta_c)
+        du_flat = du.reshape(2 * E, d)
+        dstack[:, 0] = np.take(du_flat, sat_slot, axis=0, out=tmp, mode="clip")
         # a unit clause's floor passes no gradient: clause_others_sum maps
         # its incidence's gradients to no other incidence
-        du_unsat = du[ar, unsat]
+        np.take(du_flat, unsat_slot, axis=0, out=du_unsat, mode="clip")
+        phi_p = np.negative(it.delta_c, out=tmp)
         # expm1 overflow gives inf and a correct -0.0 ratio; silence the warning
         with np.errstate(over="ignore"):
-            phi_p = (-1.0 / np.expm1(-it.delta_c)) * it.grad_pass
-        dexcl_tot += du_unsat * (1.0 - phi_p)
-        dexcl_q = du_unsat * phi_p
+            np.expm1(phi_p, out=phi_p)
+        np.divide(-1.0, phi_p, out=phi_p)
+        phi_p *= it.grad_pass
+        np.multiply(du_unsat, phi_p, out=dstack[:, 1])  # dexcl_q
+        one_minus = np.subtract(1.0, phi_p, out=phi_p)
+        one_minus *= du_unsat
+        dstack[:, 0] += one_minus  # dexcl_tot
 
-        dexcl = graph.clause_others_sum(np.stack([dexcl_tot, dexcl_q], axis=1))
+        graph.clause_others_sum(dstack, out=dexcl, work=cwork)
         dlp, dq = dexcl[:, 0], dexcl[:, 1]
 
-        dv2c = dv2c_pending
-        dv2c_pending = None
-        dv2c[ar, unsat] += dq
-        w0 = np.exp(it.v2c[:, 0] - it.lp)
-        w1 = np.exp(it.v2c[:, 1] - it.lp)
-        dv2c[:, 0] += dlp * w0
-        dv2c[:, 1] += dlp * w1
+        dv2c_flat = dv2c.reshape(2 * E, d)
+        acc = np.take(dv2c_flat, unsat_slot, axis=0, out=tmp, mode="clip")
+        acc += dq
+        dv2c_flat[unsat_slot] = acc
+        for value in (0, 1):
+            w = np.subtract(it.v2c[:, value], it.lp, out=tmp)
+            np.exp(w, out=w)
+            w *= dlp
+            dv2c[:, value] += w
 
-        dpair = params.a2.backward(
-            dv2c.reshape(2 * E, d), _pair(it.t), grads, "a2", work
-        ).reshape(E, 2, 2 * d)
-        dt = dpair[:, :, :d] + dpair[:, ::-1, d:]
-        ds1 = params.a1.backward(
-            dt.reshape(2 * E, d), it.s1.reshape(2 * E, d), grads, "a1", work
-        ).reshape(E, 2, d)
-        dc2v = graph.var_others_sum(ds1)
-        dv2c_pending = np.zeros((E, 2, d), dtype)
+        # A2's input grad lands on the clause sums, its input on their work
+        params.a2.backward(
+            dv2c.reshape(2 * E, d), _pair(it.t, out=pair), grads, "a2", work,
+            dpair.reshape(2 * E, 2 * d),
+        )
+        dv2c[...] = 0
+        dt = np.add(dpair[:, :, :d], dpair[:, ::-1, d:], out=du)
+        ds1 = dstack  # dpair, which covered it, is dead once dt is made
+        params.a1.backward(
+            dt.reshape(2 * E, d), it.s1.reshape(2 * E, d), grads, "a1", work,
+            ds1.reshape(2 * E, d),
+        )
+        graph.var_others_sum(ds1, out=dc2v)
 
     # initial embeddings: c2v starts at h2 everywhere; v2c's h1 start is
     # consumed only when T = 0 (the first iteration recomputes v2c)
     grads["h2"] += dc2v.sum(axis=(0, 1))
-    if tape.T == 0:
+    if tape.T == 0 and dv2c_final is not None:
         grads["h1"] += dv2c_final.sum(axis=(0, 1))
     return grads
 

@@ -424,3 +424,49 @@ class TestMlp:
                 for k in ref:
                     assert got[k].dtype == dtype
                     assert np.array_equal(got[k], ref[k]), (widths, k)
+
+    def test_row_blocks_split_evenly(self):
+        for rows in (0, 1, 511, 512, 513, 3 * net.BLOCK_ROWS + 37, 10_000):
+            blocks = net._row_blocks(rows)
+            assert len(blocks) == -(-rows // net.BLOCK_ROWS)
+            # consecutive, from 0 to rows
+            assert [lo for lo, _ in blocks] + [rows] == [0] + [hi for _, hi in blocks]
+            lengths = [hi - lo for lo, hi in blocks]
+            assert all(min(rows, net.BLOCK_ROWS // 2) <= n <= net.BLOCK_ROWS for n in lengths)
+            assert max(lengths, default=0) - min(lengths, default=0) <= 1
+
+    @pytest.mark.parametrize(
+        "widths", [[16, 64, 64, 64, 16], [32, 64, 64, 64, 16], [16, 64, 64, 64, 1]]
+    )
+    def test_blocked_passes_match_cached_reference(self, widths):
+        # 3 blocks of 512 rows and a remainder: the even split must keep
+        # every row's output and input grad, and only reorder the sums of
+        # the parameter grads
+        rows = 3 * net.BLOCK_ROWS + 37
+        rng = np.random.default_rng(4)
+        mlp = Mlp(
+            [rng.normal(size=(b, a)) / math.sqrt(a) for a, b in zip(widths, widths[1:])],
+            [rng.normal(size=b) for b in widths[1:]],
+        )
+        x = rng.normal(size=(rows, widths[0]))
+        dy = rng.normal(size=(rows, widths[-1]))
+        expected, cache = helpers.mlp_apply_cached(mlp, x)
+        scratch = net._hidden_buffers([mlp], rows, np.float64, 2)
+        assert scratch[0].size == net.BLOCK_ROWS * 64
+        out = np.full_like(expected, np.nan)
+        assert mlp.apply(x, scratch, out) is out
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+        ref = {
+            f"m.{k}{i}": np.zeros_like(a)
+            for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases))
+            for k, a in (("w", w), ("b", b))
+        }
+        got = {k: a.copy() for k, a in ref.items()}
+        dx_ref = helpers.mlp_backward_cached(mlp, dy, cache, ref, "m")
+        dx = np.full_like(x, np.nan)
+        assert mlp.backward(dy, x, got, "m", net._work([mlp], rows, np.float64), dx) is dx
+        assert np.max(np.abs(dx - dx_ref)) <= 1e-13 * np.max(np.abs(dx_ref))
+        diff = math.sqrt(sum(float(np.sum((got[k] - ref[k]) ** 2)) for k in ref))
+        norm = math.sqrt(sum(float(np.sum(ref[k] ** 2)) for k in ref))
+        assert diff <= 1e-12 * norm

@@ -3,8 +3,9 @@ messages' size.
 
 With glibc's mmap threshold pinned at 128 KiB, as the benchmark pins it,
 every larger temporary is a fresh mapping that page-faults on each page it
-touches. BP and the NSNet forward allocate their work arrays once per call,
-so 10 more iterations must add almost no minor faults. The counts come from
+touches. BP, the NSNet forward (also in its BP-reduction configuration) and
+the NSNet backward allocate their work arrays once per call, so 10 more
+iterations must add almost no minor faults. The counts come from
 a fresh interpreter, where nothing else shares the allocator; glibc only.
 """
 
@@ -21,7 +22,9 @@ import nsnet
 
 # on these inputs a loop that allocates its temporaries takes about 1,000
 # faults per BP iteration and 1,100 per forward iteration (six to eight
-# message arrays' worth); the bound is 5% of that
+# message arrays' worth); the bound is 5% of that. A reduction-mode forward
+# that allocates only its pair normalization's (2E, 1) max takes 165 per
+# iteration
 MAX_FAULTS_PER_ITERATION = 50
 
 SCRIPT = r"""
@@ -38,7 +41,10 @@ if mallopt(-3, 128 * 1024) != 1:  # M_MMAP_THRESHOLD
     sys.exit()
 
 import numpy as np
-from nsnet import BpConfig, CnfFormula, bp_run, build_factor_graph, forward, init_params
+from nsnet import (
+    BpConfig, CnfFormula, bp_reduction_params, bp_run, build_factor_graph, forward, init_params,
+)
+from nsnet.net import _forward, backward
 
 
 def random_clauses(rng, n, m, length):
@@ -73,11 +79,19 @@ clauses = [c for L in (2, 3, 4, 5) for c in random_clauses(rng, 5000, 3000, L)]
 graph = build_factor_graph(CnfFormula(5000, tuple(clauses)))
 bp = [faults(lambda: bp_run(graph, BpConfig(max_iters=T, convergence_eps=1e-300)))
       for T in (10, 20)]
+reduction = [faults(lambda: forward(graph, bp_reduction_params(), T, with_count=False))
+             for T in (10, 20)]
 # the forward's (E, 2, d) arrays at n = 100, d = 16 are 284 KB
 graph = build_factor_graph(CnfFormula(100, tuple(random_clauses(rng, 100, 370, 3))))
 params = init_params(16, 0)
 fw = [faults(lambda: forward(graph, params, T, with_count=False)) for T in (10, 20)]
-print(json.dumps({"bp_run": bp, "forward": fw}))
+# the backward on one tape per T, each run several times
+dlbv = rng.normal(size=(graph.num_vars, 2))
+bw = []
+for T in (10, 20):
+    tape = _forward(graph, params, T, want_count=False)
+    bw.append(faults(lambda: backward(tape, params, dlbv)))
+print(json.dumps({"bp_run": bp, "reduction_forward": reduction, "forward": fw, "backward": bw}))
 """
 
 
