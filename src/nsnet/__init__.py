@@ -19,7 +19,7 @@ from .net import (
     load_params,
     save_params,
 )
-from .train import LabeledInstance, TrainConfig, adam_step, grad, kl_loss, mse_lnz_loss, split_dataset, train_loop
+from .train import LabeledInstance, TrainConfig, adam_step, grad, split_dataset, train_loop
 from .search import SlsConfig, SlsResult, round_marginals, sls_solve
 from .gen import GenConfig, clause_count_3sat, gen_ca, gen_random_3sat, gen_sr
 
@@ -31,8 +31,7 @@ __all__ = [
     "BpConfig", "BpState", "bp_run", "bp_marginals", "bethe_ln_z",
     "ModelParams", "NsnetOutput", "init_params", "bp_reduction_params", "forward",
     "save_params", "load_params",
-    "TrainConfig", "LabeledInstance", "kl_loss", "mse_lnz_loss", "grad", "adam_step",
-    "split_dataset", "train_loop",
+    "TrainConfig", "LabeledInstance", "grad", "adam_step", "split_dataset", "train_loop",
     "SlsConfig", "SlsResult", "round_marginals", "sls_solve",
     "GenConfig", "clause_count_3sat", "gen_random_3sat", "gen_sr", "gen_ca",
 ]

@@ -327,29 +327,13 @@ def bethe_var_terms(graph: FactorGraph, lbv: np.ndarray) -> np.ndarray:
     return (graph.var_degree - 1).astype(lbv.dtype) * np.sum(np.exp(lbv) * lbv, axis=1)
 
 
-def bethe_sum(
-    graph: FactorGraph,
-    plan: EnumPlan,
-    lbf: np.ndarray,
-    lbv: np.ndarray,
-    var_inst: np.ndarray | None = None,
-    clause_inst: np.ndarray | None = None,
-    n_inst: int = 1,
-) -> np.ndarray:
-    """Bethe ln Z per instance of the neural model's readouts, from
-    normalized log beliefs: the (R,) factor beliefs ``lbf`` over the plan's
-    satisfying rows and the (n, 2) variable beliefs ``lbv``, as
-    -sum b_a ln b_a + sum_i (|N(i)|-1) sum_x b_i ln b_i. The factor entropy
-    is summed row by row, since the model's factor beliefs are an MLP of each
-    row; belief propagation's factor beliefs are products of messages, and
-    ``bp.bethe_ln_z`` sums their entropy in closed form without the plan.
-    ``var_inst``/``clause_inst`` map a disjoint union's variables and clauses
-    to instances; without them the graph is one instance."""
-    factor = -np.exp(lbf) * lbf
-    var = bethe_var_terms(graph, lbv)
-    if var_inst is None:
-        return np.array([np.sum(factor) + np.sum(var)])
-    ln_z = np.zeros(n_inst, dtype=var.dtype)
-    np.add.at(ln_z, np.take(clause_inst, plan.row_clause), factor)
-    np.add.at(ln_z, var_inst, var)
-    return ln_z
+def bethe_sum(graph: FactorGraph, lbf: np.ndarray, lbv: np.ndarray) -> np.floating:
+    """Bethe ln Z of the neural model's readouts, a scalar of their dtype,
+    from normalized log beliefs: the (R,) factor beliefs ``lbf`` over the
+    satisfying rows of an enumeration plan and the (n, 2) variable beliefs
+    ``lbv``, as -sum b_a ln b_a + sum_i (|N(i)|-1) sum_x b_i ln b_i. The
+    factor entropy is summed row by row, since the model's factor beliefs
+    are an MLP of each row; belief propagation's factor beliefs are products
+    of messages, and ``bp.bethe_ln_z`` sums their entropy in closed form
+    without the plan."""
+    return np.sum(-np.exp(lbf) * lbf) + np.sum(bethe_var_terms(graph, lbv))

@@ -47,7 +47,7 @@ Goto and van de Geijn, *Anatomy of High-Performance Matrix
 Multiplication*): they run ``BLOCK_ROWS`` rows at a time, so a block's
 hidden layers stay in a core's L2 cache from the matmul through the bias
 add, the ReLU, the mask and the bias gradient, where a (2E, 64) layer of a
-training batch (4.7 MB at E = 4,626) would stream from memory at each step.
+large graph (4.7 MB at E = 4,626) would stream from memory at each step.
 The rows are split evenly (:func:`_row_blocks`), which keeps every output
 and input gradient bit-identical to an unblocked pass; only the parameter
 gradients, summed block by block, change in rounding. The readouts' forward
@@ -80,7 +80,7 @@ PARAMS_FORMAT_VERSION = 1
 # rows per block of a blocked MLP pass (see _row_blocks): a block's (512, 64)
 # float64 hidden layer is 256 KiB, so the matmul, bias add, ReLU, mask and
 # bias gradient that follow one another on it stay within a core's L2 cache,
-# where a whole (2E, 64) layer streams from memory. On a training batch of
+# where a whole (2E, 64) layer streams from memory. On a graph of
 # E = 4,626, train.grad was as fast or faster at 512 rows than at 256, 1024
 # or 2048
 BLOCK_ROWS = 512
@@ -355,10 +355,7 @@ class _Tape:
     plan: EnumPlan | None = None
     lbf: np.ndarray | None = None  # (R,) factor log beliefs
     sf: np.ndarray | None = None  # (R, d) factor readout input
-    ln_z: np.ndarray | None = None  # (k,) per-instance
-    var_inst: np.ndarray | None = None
-    clause_inst: np.ndarray | None = None
-    n_inst: int = 1
+    ln_z: np.floating | None = None
 
 
 def satisfying_lse(
@@ -490,32 +487,21 @@ def _forward(
     T: int,
     want_count: bool,
     factor_cap: int = DEFAULT_FACTOR_ENUM_CAP,
-    var_inst: np.ndarray | None = None,
-    clause_inst: np.ndarray | None = None,
     keep_tape: bool = True,
 ) -> _Tape:
-    """Run T iterations plus readouts.
+    """Run T iterations plus readouts on one formula's factor graph.
 
-    ``var_inst``/``clause_inst`` map variables and clauses to instance ids
-    when the graph is a disjoint union of several formulas; ln Z then comes
-    out per instance. By default everything is instance 0. The loop's work
-    arrays are allocated here, once (see :func:`forward`). With
-    ``keep_tape`` each iteration records the MLPs' inputs and the
+    The loop's work arrays are allocated here, once (see :func:`forward`).
+    With ``keep_tape`` each iteration records the MLPs' inputs and the
     intermediates :func:`backward` needs, and the tape keeps the readouts'
     inputs; without it ``iters`` stays empty and :func:`backward` refuses
-    the tape. Either way the outputs are the same values.
+    the tape. Either way the outputs are the same values; ``ln_z`` is the
+    one ln Z estimate of the formula, a scalar of the model's dtype.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
     E = graph.num_incidences
     n, d = graph.num_vars, params.d
-    if var_inst is None:
-        var_inst = np.zeros(n, dtype=np.int64)
-        clause_inst = np.zeros(graph.num_clauses, dtype=np.int64)
-        n_inst = 1
-    else:
-        assert clause_inst is not None
-        n_inst = int(var_inst.max()) + 1 if n else 1
 
     loop_nets = (params.a1, params.a2, params.a3)
     weights = [w for net in loop_nets if isinstance(net, Mlp) for w in net.weights]
@@ -550,9 +536,6 @@ def _forward(
         lbv=lbv,
         sv=sv,
         want_count=want_count,
-        var_inst=var_inst,
-        clause_inst=clause_inst,
-        n_inst=n_inst,
     )
 
     if want_count:
@@ -563,7 +546,7 @@ def _forward(
         tape.plan = plan
         tape.lbf = lbf
         tape.sf = sf
-        tape.ln_z = bethe_sum(graph, plan, lbf, lbv, var_inst, clause_inst, n_inst)
+        tape.ln_z = bethe_sum(graph, lbf, lbv)
     return tape
 
 
@@ -591,9 +574,9 @@ def forward(
     into these, so no iteration allocates an array of the messages' size
     and peak memory does not grow with T. The readouts then allocate their
     own arrays and run unblocked, since their 64->1 output layer rounds
-    differently on fewer rows; none of the loop's arrays is returned. The
-    numbers are those of the forward that keeps a tape for training, bit
-    for bit.
+    differently on fewer rows; none of the loop's arrays is returned.
+    Training runs the same forward with a tape, one formula at a time
+    (``train.grad``), and gets these numbers bit for bit.
     """
     tape = _forward(
         graph, params, T, want_count=with_count, factor_cap=factor_cap, keep_tape=False
@@ -607,7 +590,7 @@ def forward(
         factor_beliefs = [
             tape.lbf[starts[a]: starts[a + 1]] for a in range(graph.num_clauses)
         ]
-        ln_z = float(tape.ln_z[0])
+        ln_z = float(tape.ln_z)
     return NsnetOutput(marginals, factor_beliefs, ln_z)
 
 
@@ -629,14 +612,15 @@ def backward(
     tape: _Tape,
     params: ModelParams,
     dlbv: np.ndarray | None = None,
-    dlnz: np.ndarray | float = 0.0,
+    dlnz: float = 0.0,
 ) -> dict[str, np.ndarray]:
     """Reverse-mode pass through the unrolled iterations and readouts.
 
     ``dlbv`` is the loss gradient w.r.t. the variable log beliefs (n, 2);
-    ``dlnz`` w.r.t. the per-instance ln Z vector. Both are cast to the
+    ``dlnz`` w.r.t. the tape's one ln Z estimate. Both are cast to the
     tape's dtype, in which all of the pass runs. Requires all five networks
-    to be MLPs (the exact reduction mode has no trainable parameters).
+    to be MLPs (the exact reduction mode has no trainable parameters). A
+    batch's gradient is the sum of one call per formula (``train.grad``).
 
     Each MLP's hidden layers are recomputed from the input the tape holds,
     one block of rows at a time, into one set of block-sized work buffers
@@ -659,10 +643,8 @@ def backward(
 
     dlbv = np.zeros((n, 2), dtype) if dlbv is None else np.array(dlbv, dtype=dtype)
     dv2c_final = None
-    dlnz_vec = np.asarray(dlnz, dtype=dtype)
-    if dlnz_vec.ndim == 0:
-        dlnz_vec = np.full(tape.n_inst, dlnz_vec, dtype=dtype)
-    with_count = tape.want_count and bool(np.any(dlnz_vec != 0.0))
+    dlnz = dtype.type(dlnz)
+    with_count = tape.want_count and dlnz != 0.0
     # one set of work buffers for every MLP, the factor readout's plan rows too
     rows = max(2 * E, 2 * n, 0 if tape.sf is None else len(tape.sf))
     work = _work([net for _, net in params.nets()], rows, dtype)
@@ -670,10 +652,10 @@ def backward(
         assert tape.plan is not None and tape.lbf is not None
         plan, lbf = tape.plan, tape.lbf
         weights = (graph.var_degree - 1).astype(dtype)
-        dlbv += (dlnz_vec[tape.var_inst] * weights)[:, None] * (
+        dlbv += (dlnz * weights)[:, None] * (
             np.exp(tape.lbv) * (1.0 + tape.lbv)
         )
-        dlbf = dlnz_vec[tape.clause_inst[plan.row_clause]] * (-np.exp(lbf) * (1.0 + lbf))
+        dlbf = dlnz * (-np.exp(lbf) * (1.0 + lbf))
         # log-normalization per clause: lbf = rf - LSE(rf over the clause)
         drf = dlbf - np.exp(lbf) * np.take(plan.clause_sums(dlbf), plan.row_clause)
         dsf = params.r_fac.backward(drf[:, None], tape.sf, grads, "r_fac", work)

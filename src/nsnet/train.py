@@ -2,9 +2,11 @@
 
 Gradients are exact reverse-mode derivatives through the unrolled message
 passing (see ``net.backward``); central finite differences are the
-correctness authority in the test suite. Batches are evaluated on a single
-disjoint-union factor graph with per-instance segment indices, so the mean
-batch loss and its gradient come out of one forward/backward pass.
+correctness authority in the test suite. A batch's loss is the mean of its
+formulas' losses, so its gradient is the sum of each formula's own backward
+pass. A step runs the forward and backward on one formula at a time, on the
+factor graph and enumeration plan that formula caches, so it holds one
+formula's tape at a time and builds no graph of the batch.
 """
 
 from __future__ import annotations
@@ -88,102 +90,31 @@ class LabeledInstance:
         return self._graph
 
 
-def kl_loss(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Mean over variables of KL(truth || pred) for two-valued marginals.
-
-    Inputs are b_i(1) arrays; 0 ln 0 = 0 on the truth side and prediction
-    probabilities are floored at 1e-12 inside the logs.
-    """
-    pred = np.asarray(pred, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if pred.shape != truth.shape:
-        raise ValueError(f"variable sets differ: {pred.shape} vs {truth.shape}")
-    if (truth < 0).any() or (truth > 1).any():
-        raise ValueError("truth marginals must lie in [0, 1]")
-    total = 0.0
-    for t, p in ((truth, pred), (1.0 - truth, 1.0 - pred)):
-        log_p = np.log(np.maximum(p, 1e-12))
-        entropy = np.where(t > 0, t * np.log(np.maximum(t, 1e-300)), 0.0)
-        total += float(np.sum(entropy - t * log_p))
-    return total / len(pred)
-
-
-def mse_lnz_loss(pred_ln_z: float, true_ln_z: float) -> float:
-    if not (math.isfinite(pred_ln_z) and math.isfinite(true_ln_z)):
-        raise ValueError("ln Z values must be finite")
-    return (pred_ln_z - true_ln_z) ** 2
-
-
-def _merge_graphs(
-    graphs: list[FactorGraph],
-) -> tuple[FactorGraph, np.ndarray, np.ndarray]:
-    """Disjoint union of factor graphs plus per-variable / per-clause
-    instance ids."""
-    inc_var, inc_clause, sat_value, var_incidences = [], [], [], []
-    clause_start = [np.zeros(1, dtype=np.int64)]
-    var_inst, clause_inst = [], []
-    n_off = m_off = e_off = 0
-    for i, g in enumerate(graphs):
-        inc_var.append(g.inc_var + n_off)
-        inc_clause.append(g.inc_clause + m_off)
-        sat_value.append(g.sat_value)
-        clause_start.append(g.clause_start[1:] + e_off)
-        var_incidences.append(g.var_incidences + e_off)
-        var_inst.append(np.full(g.num_vars, i, dtype=np.int64))
-        clause_inst.append(np.full(g.num_clauses, i, dtype=np.int64))
-        n_off += g.num_vars
-        m_off += g.num_clauses
-        e_off += g.num_incidences
-    merged = FactorGraph(
-        num_vars=n_off,
-        num_clauses=m_off,
-        inc_var=np.concatenate(inc_var),
-        inc_clause=np.concatenate(inc_clause),
-        sat_value=np.concatenate(sat_value),
-        clause_start=np.concatenate(clause_start),
-        var_incidences=np.concatenate(var_incidences),
+def _tape(
+    inst: LabeledInstance, params: net.ModelParams, config: TrainConfig, keep_tape: bool
+) -> net._Tape:
+    """The model's forward on one formula, with the readouts the task reads."""
+    return net._forward(
+        inst.factor_graph(), params, config.T, want_count=config.task == "counting",
+        factor_cap=config.factor_cap, keep_tape=keep_tape,
     )
-    return merged, np.concatenate(var_inst), np.concatenate(clause_inst)
 
 
-def _batch_forward(
-    batch: list[LabeledInstance],
-    params: net.ModelParams,
-    config: TrainConfig,
-    keep_tape: bool = True,
-):
-    graphs = [inst.factor_graph() for inst in batch]
-    want_count = config.task == "counting"
-    merged, var_inst, clause_inst = _merge_graphs(graphs)
-    tape = net._forward(
-        merged, params, config.T, want_count=want_count,
-        factor_cap=config.factor_cap, var_inst=var_inst, clause_inst=clause_inst,
-        keep_tape=keep_tape,
-    )
-    return tape, var_inst
-
-
-def _batch_loss_parts(batch, tape, var_inst, config):
-    """Per-instance losses plus the loss gradient w.r.t. the model outputs."""
-    B = len(batch)
+def _loss(inst: LabeledInstance, tape: net._Tape, config: TrainConfig) -> tuple:
+    """One formula's loss and its gradient w.r.t. the model output the task
+    reads. Marginals: the mean over variables of KL(truth || prediction) for
+    two-valued marginals, with 0 ln 0 = 0 on the truth side and predicted
+    probabilities floored at 1e-12 inside the logs (no gradient below the
+    floor); the gradient is w.r.t. the (n, 2) variable log beliefs.
+    Counting: the squared error of the ln Z estimate and its derivative."""
     if config.task == "marginals":
-        truth = np.concatenate([inst.marginals for inst in batch])
-        sizes = np.array([inst.formula.num_vars for inst in batch], dtype=float)
-        lbv = tape.lbv
-        t = np.stack([1.0 - truth, truth], axis=1)  # value order (0, 1)
-        log_p = np.maximum(lbv, LOG_PRED_FLOOR)
+        n = inst.formula.num_vars
+        t = np.stack([1.0 - inst.marginals, inst.marginals], axis=1)  # value order (0, 1)
+        log_p = np.maximum(tape.lbv, LOG_PRED_FLOOR)
         entropy = np.where(t > 0, t * np.log(np.maximum(t, 1e-300)), 0.0)
-        per_var = np.sum(entropy - t * log_p, axis=1)
-        per_inst = np.zeros(B)
-        np.add.at(per_inst, var_inst, per_var)
-        per_inst /= sizes
-        weight = 1.0 / (sizes[var_inst] * B)
-        dlbv = -t * (lbv > LOG_PRED_FLOOR) * weight[:, None]
-        return per_inst, dlbv, None
-    truth = np.array([inst.ln_count for inst in batch], dtype=float)
-    per_inst = (tape.ln_z - truth) ** 2
-    dlnz = 2.0 * (tape.ln_z - truth) / B
-    return per_inst, None, dlnz
+        return np.sum(entropy - t * log_p) / n, -t * (tape.lbv > LOG_PRED_FLOOR) / n
+    diff = tape.ln_z - np.float64(inst.ln_count)
+    return diff ** 2, 2.0 * diff
 
 
 def batch_loss(
@@ -191,28 +122,38 @@ def batch_loss(
 ) -> float:
     """Mean loss of a batch (no gradients).
 
-    Runs the forward without a tape, as ``net.forward`` does: the MLPs'
-    hidden layers reuse two buffers across the T iterations, and the value
-    is the one :func:`grad` reports for the same batch.
+    Runs each formula's forward without a tape, as ``net.forward`` does, and
+    gives the value :func:`grad` reports for the same batch.
     """
-    tape, var_inst = _batch_forward(batch, params, config, keep_tape=False)
-    per_inst, _, _ = _batch_loss_parts(batch, tape, var_inst, config)
-    return float(per_inst.mean())
+    return float(np.mean([
+        _loss(inst, _tape(inst, params, config, keep_tape=False), config)[0] for inst in batch
+    ]))
 
 
 def grad(
     batch: list[LabeledInstance], params: net.ModelParams, config: TrainConfig
 ) -> tuple[dict[str, np.ndarray], float]:
-    """Exact gradients of the mean batch loss for every parameter array."""
-    tape, var_inst = _batch_forward(batch, params, config)
-    per_inst, dlbv, dlnz = _batch_loss_parts(batch, tape, var_inst, config)
-    bad = np.flatnonzero(~np.isfinite(per_inst))
-    if len(bad):
-        raise NonFiniteLossError(int(bad[0]))
-    grads = net.backward(
-        tape, params, dlbv=dlbv, dlnz=dlnz if dlnz is not None else 0.0
-    )
-    return grads, float(per_inst.mean())
+    """Exact gradients of the mean batch loss for every parameter array: the
+    sum over formulas of each one's backward pass, its output gradient
+    divided by the batch size. A formula whose loss is not finite raises
+    :class:`NonFiniteLossError` before its backward pass."""
+    grads = net.zero_grads(params)
+    losses = []
+    for i, inst in enumerate(batch):
+        tape = _tape(inst, params, config, keep_tape=True)
+        loss, d_output = _loss(inst, tape, config)
+        if not np.isfinite(loss):
+            raise NonFiniteLossError(i)
+        d_output = d_output / len(batch)
+        if config.task == "marginals":
+            inst_grads = net.backward(tape, params, dlbv=d_output)
+        else:
+            inst_grads = net.backward(tape, params, dlnz=d_output)
+        del tape  # one formula's tape alive at a time
+        for name, g in inst_grads.items():
+            grads[name] += g
+        losses.append(loss)
+    return grads, float(np.mean(losses))
 
 
 @dataclass
@@ -304,14 +245,8 @@ def split_dataset(instances: list, ratios: tuple[float, float, float], seed: int
 def evaluate_loss(
     instances: list[LabeledInstance], params: net.ModelParams, config: TrainConfig
 ) -> float:
-    """Mean per-instance loss over a dataset, evaluated in batches."""
-    if not instances:
-        return math.nan
-    total = 0.0
-    for i in range(0, len(instances), config.batch_size):
-        chunk = instances[i: i + config.batch_size]
-        total += batch_loss(chunk, params, config) * len(chunk)
-    return total / len(instances)
+    """Mean per-instance loss over a dataset; NaN for an empty one."""
+    return batch_loss(instances, params, config) if instances else math.nan
 
 
 def train_loop(

@@ -360,4 +360,4 @@ def enumerated_bethe_ln_z(state, graph, cap=10):
     row: the reference for the closed form of ``bp.bethe_ln_z``."""
     plan = graph.satisfying_enumeration(cap)
     lbf = plan.log_normalize(plan.row_sums(state.v2c))
-    return float(bethe_sum(graph, plan, lbf, bp._variable_log_beliefs(state, graph))[0])
+    return float(bethe_sum(graph, lbf, bp._variable_log_beliefs(state, graph)))

@@ -7,6 +7,7 @@ import pytest
 import helpers
 from nsnet import net, oracle
 from nsnet.cnf import CnfFormula
+from nsnet.graph import build_factor_graph
 from nsnet.train import (
     LabeledInstance,
     NonFiniteLossError,
@@ -17,8 +18,6 @@ from nsnet.train import (
     clip_global_norm,
     evaluate_loss,
     grad,
-    kl_loss,
-    mse_lnz_loss,
     split_dataset,
     train_loop,
 )
@@ -39,41 +38,63 @@ def to_longdouble(params):
 
 
 class TestLosses:
-    def test_kl_zero_when_equal(self):
-        m = np.array([0.2, 0.7, 0.5])
-        assert kl_loss(m, m) == pytest.approx(0.0, abs=1e-12)
+    """The training losses, through ``batch_loss`` on one-instance batches:
+    the marginal task's mean KL(truth || prediction) and the counting task's
+    squared ln Z error."""
 
-    def test_kl_hard_truth_against_uniform(self):
-        assert kl_loss(np.array([0.5]), np.array([1.0])) == pytest.approx(
-            math.log(2), abs=1e-12
+    @staticmethod
+    def loss(inst, params, task="marginals"):
+        return batch_loss([inst], params, TrainConfig(task=task, d=params.d, T=3, hidden=16))
+
+    @staticmethod
+    def uniform_params():
+        # a zero variable readout predicts 0.5 for every variable
+        params = net.init_params(4, seed=3, hidden=16)
+        for a in params.r_var.weights + params.r_var.biases:
+            a[:] = 0.0
+        return params
+
+    def test_kl_zero_when_equal(self):
+        formula = CnfFormula(4, ((1, -2), (2, 3), (-3, 4)))
+        params = net.init_params(4, seed=5, hidden=16)
+        pred = net.forward(build_factor_graph(formula), params, 3, with_count=False).marginals
+        assert self.loss(LabeledInstance(formula, marginals=pred), params) == pytest.approx(
+            0.0, abs=1e-12
         )
 
+    def test_kl_hard_truth_against_uniform(self):
+        inst = LabeledInstance(CnfFormula(1, ((1,),)), marginals=np.array([1.0]))
+        assert self.loss(inst, self.uniform_params()) == pytest.approx(math.log(2), abs=1e-12)
+
     def test_kl_uniform_over_three_variables(self):
-        t = np.array([0.75, 0.75, 0.75])
-        assert kl_loss(t, t) == pytest.approx(0.0, abs=1e-12)
+        inst = LabeledInstance(CnfFormula(3, ((1, 2), (-2, 3))), marginals=np.full(3, 0.5))
+        assert self.loss(inst, self.uniform_params()) == pytest.approx(0.0, abs=1e-12)
 
     def test_kl_nonnegative(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
+        for k in range(40):
             n = int(rng.integers(1, 6))
-            pred = rng.uniform(0, 1, size=n)
-            truth = rng.uniform(0, 1, size=n)
-            assert kl_loss(pred, truth) >= -1e-12
+            formula = helpers.random_formula(rng, n, int(rng.integers(1, 6)), min_len=1)
+            inst = LabeledInstance(formula, marginals=rng.uniform(0, 1, size=n))
+            assert self.loss(inst, net.init_params(4, seed=k, hidden=16)) >= -1e-12
 
     def test_kl_mismatched_sets(self):
         with pytest.raises(ValueError):
-            kl_loss(np.array([0.5]), np.array([0.5, 0.5]))
+            LabeledInstance(CnfFormula(1, ((1,),)), marginals=np.array([0.5, 0.5]))
 
     def test_mse_examples(self):
-        assert mse_lnz_loss(1.5, 1.5) == 0.0
-        assert mse_lnz_loss(math.log(4), math.log(2)) == pytest.approx(
-            math.log(2) ** 2, abs=1e-12
-        )
-        assert mse_lnz_loss(0.0, 1.0) == 1.0
+        formula = CnfFormula(3, ((1, -2), (2, 3)))
+        params = net.init_params(4, seed=2, hidden=16)
+        ln_z = net.forward(build_factor_graph(formula), params, 3).ln_z
+        for label, expected in ((ln_z, 0.0), (ln_z - math.log(2), math.log(2) ** 2), (ln_z + 1.0, 1.0)):
+            inst = LabeledInstance(formula, ln_count=label)
+            assert self.loss(inst, params, "counting") == pytest.approx(expected, abs=1e-12)
 
     def test_mse_requires_finite(self):
-        with pytest.raises(ValueError):
-            mse_lnz_loss(math.inf, 0.0)
+        inst = LabeledInstance(CnfFormula(2, ((1, 2),)), ln_count=math.inf)
+        config = TrainConfig(task="counting", d=4, T=2, hidden=16)
+        with pytest.raises(NonFiniteLossError):
+            grad([inst], net.init_params(4, seed=0, hidden=16), config)
 
 
 class TestGrad:
@@ -94,7 +115,7 @@ class TestGrad:
             def loss_ld():
                 tape = net._forward(graph, pld, 3, want_count=(task == "counting"))
                 if task == "counting":
-                    return (tape.ln_z[0] - LD(inst.ln_count)) ** 2
+                    return (tape.ln_z - LD(inst.ln_count)) ** 2
                 t = np.stack([1.0 - inst.marginals, inst.marginals], axis=1).astype(LD)
                 log_p = np.maximum(tape.lbv, LD(math.log(1e-12)))
                 ent = np.where(t > 0, t * np.log(np.maximum(t, LD(1e-300))), LD(0))
@@ -204,6 +225,33 @@ class TestGrad:
         peak(2)  # first-call costs
         per_iter = (peak(10) - peak(2)) / 8
         assert per_iter <= 16 * E * 16 * params.h1.itemsize
+
+    def test_batch_peak_stays_near_one_formula(self):
+        # a step holds one formula's tape at a time, so a batch's traced
+        # peak is about its largest formula's, not the sum of their tapes
+        rng = np.random.default_rng(6)
+        batch = []
+        while len(batch) < 8:
+            f = helpers.random_formula(rng, 30, 75, min_len=2, max_len=5)
+            count = oracle.exact_count(f)
+            if count.model_count:
+                batch.append(LabeledInstance(f, ln_count=count.ln_count))
+        params = net.init_params(16, 0)
+        config = TrainConfig(task="counting", d=16, T=10)
+        for inst in batch:  # the graphs and their enumeration plans, cached
+            inst.factor_graph().satisfying_enumeration(config.factor_cap)
+
+        def peak(instances):
+            tracemalloc.start()
+            try:
+                grad(instances, params, config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(batch[:1])  # first-call costs
+        largest = max(peak([inst]) for inst in batch)
+        assert peak(batch) <= 1.5 * largest
 
 
 class TestAdam:
@@ -383,14 +431,17 @@ class TestBatchLoss:
         inst = labeled(helpers.F0)
         params = net.init_params(4, 8, hidden=16)
         config = TrainConfig(task="marginals", d=4, T=3, hidden=16)
-        out = net.forward(inst.factor_graph(), params, 3, with_count=False)
-        assert batch_loss([inst], params, config) == pytest.approx(
-            kl_loss(out.marginals, inst.marginals), abs=1e-12
-        )
+        pred = net.forward(inst.factor_graph(), params, 3, with_count=False).marginals
+        kl = 0.0
+        for t, p in zip(inst.marginals, pred):
+            for tv, pv in ((t, p), (1.0 - t, 1.0 - p)):
+                if tv > 0:
+                    kl += tv * (math.log(tv) - math.log(max(pv, 1e-12)))
+        assert batch_loss([inst], params, config) == pytest.approx(kl / len(pred), abs=1e-12)
 
     @pytest.mark.parametrize("task", ["marginals", "counting"])
     def test_equals_tape_path(self, task):
-        from nsnet.train import _batch_forward, _batch_loss_parts
+        from nsnet.train import _loss, _tape
 
         rng = np.random.default_rng(7)
         batch = [
@@ -401,36 +452,7 @@ class TestBatchLoss:
             for T in (0, 1, 10):
                 config = TrainConfig(task=task, d=params.d, T=T)
                 for chunk in [batch] + [[inst] for inst in batch]:
-                    tape, var_inst = _batch_forward(chunk, params, config, keep_tape=True)
-                    per_inst, _, _ = _batch_loss_parts(chunk, tape, var_inst, config)
-                    expected = float(per_inst.mean())
+                    per_inst = [_loss(inst, _tape(inst, params, config, keep_tape=True), config)[0]
+                                for inst in chunk]
+                    expected = float(np.mean(per_inst))
                     assert np.array_equal(batch_loss(chunk, params, config), expected, equal_nan=True)
-
-
-class TestMergedGraph:
-    def test_merged_plan_is_concatenation_of_offset_plans(self):
-        from nsnet.graph import build_factor_graph
-        from nsnet.train import _merge_graphs
-
-        rng = np.random.default_rng(12)
-        graphs = [
-            build_factor_graph(helpers.random_formula(rng, n, m, min_len=1, max_len=5))
-            for n, m in ((6, 9), (3, 0), (8, 14), (5, 7))
-        ]
-        merged, _, _ = _merge_graphs(graphs)
-        plan = merged.satisfying_enumeration(10)
-        parts = [g.satisfying_enumeration(10) for g in graphs]
-        m_off = np.cumsum([0] + [g.num_clauses for g in graphs])
-        e_off = np.cumsum([0] + [g.num_incidences for g in graphs])
-        r_off = np.cumsum([0] + [p.num_rows for p in parts])
-        f_off = np.cumsum([0] + [len(p.flat_index) for p in parts])
-        expected = {
-            "row_clause": [p.row_clause + m_off[i] for i, p in enumerate(parts)],
-            "row_start": [np.zeros(1, dtype=np.int64)]
-            + [p.row_start[1:] + r_off[i] for i, p in enumerate(parts)],
-            "row_flat_start": [p.row_flat_start + f_off[i] for i, p in enumerate(parts)],
-            "flat_index": [p.flat_index + 2 * e_off[i] for i, p in enumerate(parts)],
-        }
-        assert plan.num_rows == r_off[-1]
-        for name, pieces in expected.items():
-            assert np.array_equal(getattr(plan, name), np.concatenate(pieces)), name
