@@ -26,6 +26,10 @@ DISTRIBUTIONS = ("random3sat", "sr", "ca")
 # longest clause gen_sr draws
 SR_MAX_CLAUSE_LEN = 4
 
+# gen_ca's inclusive ranges of the community count and of the modularity Q
+CA_COMMUNITIES = (3, 10)
+CA_MODULARITY = (0.7, 0.9)
+
 # golden-ratio increment, the splitmix64 stream constant
 _SEED_MIX = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -42,13 +46,13 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Generator settings; ranges are inclusive (lo, hi) pairs."""
+    """Generator settings; a range of ``num_vars`` is an inclusive (lo, hi)
+    pair. The CA distribution draws its communities and modularity from
+    ``CA_COMMUNITIES`` and ``CA_MODULARITY``."""
 
     distribution: str = "random3sat"
     num_vars: int | tuple[int, int] = 20
     seed: int = 0
-    ca_communities: tuple[int, int] = (3, 10)
-    ca_modularity: tuple[float, float] = (0.7, 0.9)
 
     def __post_init__(self):
         if self.distribution not in DISTRIBUTIONS:
@@ -56,12 +60,6 @@ class GenConfig:
         lo, hi = self.var_range
         if lo < 1 or hi < lo:
             raise ValueError(f"bad num_vars range ({lo}, {hi})")
-        clo, chi = self.ca_communities
-        if clo < 1 or chi < clo:
-            raise ValueError(f"bad community range ({clo}, {chi})")
-        qlo, qhi = self.ca_modularity
-        if not (0.0 < qlo <= qhi <= 1.0):
-            raise ValueError(f"bad modularity range ({qlo}, {qhi})")
 
     @property
     def var_range(self) -> tuple[int, int]:
@@ -149,18 +147,17 @@ def _satisfy(model: list[int], clause: Clause) -> bool:
     return bool(free)
 
 
-def gen_ca(n: int, seed: int, config: GenConfig | None = None) -> CnfFormula:
+def gen_ca(n: int, seed: int) -> CnfFormula:
     """Community-attachment 3-SAT: clauses are intra-community with
     probability Q, otherwise spread across three distinct communities.
 
     Variables are partitioned into near-equal contiguous communities. The
-    community count is drawn from the configured range, capped at n // 3 so
+    community count is drawn from ``CA_COMMUNITIES``, capped at n // 3 so
     every community can host a 3-variable clause; Q is drawn uniformly from
-    the configured modularity range.
+    ``CA_MODULARITY``.
     """
-    config = config or GenConfig(distribution="ca")
     rng = make_rng(seed)
-    clo, chi = config.ca_communities
+    clo, chi = CA_COMMUNITIES
     chi = min(chi, n // 3)
     if chi < clo:
         raise ValueError(
@@ -168,7 +165,7 @@ def gen_ca(n: int, seed: int, config: GenConfig | None = None) -> CnfFormula:
             f">= {clo} communities of size 3"
         )
     c = int(rng.integers(clo, chi + 1))
-    qlo, qhi = config.ca_modularity
+    qlo, qhi = CA_MODULARITY
     q = qlo + (qhi - qlo) * float(rng.random())
 
     bounds = np.linspace(0, n, c + 1).astype(int)
@@ -203,5 +200,5 @@ def generate(config: GenConfig, index: int) -> CnfFormula:
         return gen_random_3sat(n, seed)
     if config.distribution == "sr":
         return gen_sr(n, seed)
-    return gen_ca(n, seed, config)
+    return gen_ca(n, seed)
 

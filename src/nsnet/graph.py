@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -100,7 +100,6 @@ class FactorGraph:
     sat_value: np.ndarray  # (E,) value in {0,1} that satisfies the clause
     clause_start: np.ndarray  # (m+1,) incidences of clause a are start[a]:start[a+1]
     var_incidences: np.ndarray  # (E,) incidence ids, variable by variable
-    _enum_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         # the reductions gather with mode="clip", which does not check bounds:
@@ -159,6 +158,11 @@ class FactorGraph:
         starts = self.clause_start[:-1]
         return [starts[lens == L] + np.arange(L)[:, None] for L in np.unique(lens[lens > 1])]
 
+    @cached_property
+    def _clause_others(self) -> list[np.ndarray]:
+        """Per block of ``_clause_blocks``, the all-but-self matrix 1 - I_L."""
+        return [1 - np.eye(len(slots)) for slots in self._clause_blocks]
+
     def var_sum(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(n, ...) sums of the per-incidence rows of ``x`` per variable."""
         return self._var_run_sums(np.take(x, self.var_incidences, axis=0), out)
@@ -199,13 +203,12 @@ class FactorGraph:
             largest = max((slots.size for slots in self._clause_blocks), default=0)
             work = np.empty(2 * largest * row, x.dtype)
         out[...] = 0  # unit clauses have no other literals
-        for slots in self._clause_blocks:
+        for slots, others in zip(self._clause_blocks, self._clause_others):
             size = slots.size * row
             block = work[:size].reshape(slots.shape + x.shape[1:])
             np.take(x, slots, axis=0, out=block, mode="clip")
             prod = work[size: 2 * size].reshape(len(slots), -1)
-            others = 1 - np.eye(len(slots), dtype=x.dtype)
-            np.matmul(others, block.reshape(len(slots), -1), out=prod)
+            np.matmul(others.astype(x.dtype, copy=False), block.reshape(len(slots), -1), out=prod)
             out[slots] = prod.reshape(block.shape)
         return out
 
@@ -215,15 +218,20 @@ class FactorGraph:
         For a clause of length L the 2^L - 1 satisfying assignments are
         listed in increasing order of the value code (bit j = value of the
         clause's j-th literal position), skipping the one all-dissatisfying
-        code. Raises on clauses longer than ``cap`` (2^L blowup guard).
+        code. Raises on clauses longer than ``cap`` (2^L blowup guard), on
+        every call: the plan does not depend on the cap, so a graph builds it
+        once and every call that passes the guard returns that one plan.
         """
-        if cap in self._enum_cache:
-            return self._enum_cache[cap]
         lens = self.clause_len
         if len(lens) and int(lens.max()) > cap:
             raise ValueError(
                 f"clause length {int(lens.max())} exceeds enumeration cap {cap}"
             )
+        return self._enum_plan
+
+    @cached_property
+    def _enum_plan(self) -> EnumPlan:
+        lens = self.clause_len
         # rows are listed clause by clause, the flat entries of a row position
         # by position; the k-th satisfying code of a clause is k, or k + 1 from
         # its all-dissatisfying code on. Codes are worked out per row, then
@@ -251,15 +259,13 @@ class FactorGraph:
         flat_index += np.repeat(np.repeat(self.clause_start[:-1], num_codes), row_len)
         flat_index *= 2
         flat_index += value
-        plan = EnumPlan(
+        return EnumPlan(
             num_rows=len(row_clause),
             row_clause=row_clause,
             row_start=row_start,
             row_flat_start=row_flat_start,
             flat_index=flat_index,
         )
-        self._enum_cache[cap] = plan
-        return plan
 
 
 def build_factor_graph(formula: CnfFormula) -> FactorGraph:

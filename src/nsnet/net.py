@@ -555,13 +555,12 @@ def forward(
     params: ModelParams,
     T: int,
     with_count: bool = True,
-    factor_cap: int = DEFAULT_FACTOR_ENUM_CAP,
 ) -> NsnetOutput:
     """Inference on a single formula's factor graph.
 
     With ``with_count`` the factor-belief readout and the ln Z estimate are
     computed as well, which requires every clause length to be at most
-    ``factor_cap`` (marginals have no such restriction).
+    ``DEFAULT_FACTOR_ENUM_CAP`` (marginals have no such restriction).
 
     Keeps no tape. Before its loop, a call allocates, in the model's dtype:
     the c2v messages; one set of the arrays an iteration writes (v2c, A3's
@@ -578,9 +577,7 @@ def forward(
     Training runs the same forward with a tape, one formula at a time
     (``train.grad``), and gets these numbers bit for bit.
     """
-    tape = _forward(
-        graph, params, T, want_count=with_count, factor_cap=factor_cap, keep_tape=False
-    )
+    tape = _forward(graph, params, T, want_count=with_count, keep_tape=False)
     marginals = np.exp(tape.lbv[:, 1])
     factor_beliefs = None
     ln_z = None

@@ -2,8 +2,10 @@
 
 Two independent algorithms serve as mutual oracles: a brute-force
 enumerator over the full assignment table and a DPLL-style backtracking
-counter with unit propagation and free-variable multiplication. Counts are
-arbitrary-precision integers; only ``ln_count`` is floating point.
+counter with unit propagation and free-variable multiplication. Counting,
+marginals and the satisfiability decision run one search; a decision stops
+it at the first model. Counts are arbitrary-precision integers; only
+``ln_count`` is floating point.
 """
 
 from __future__ import annotations
@@ -76,7 +78,13 @@ def enumerate_models(
 
 
 class _Dpll:
-    """Backtracking search core shared by counting and decision.
+    """Backtracking search that counts models and, with ``first_model``,
+    stops at the first one.
+
+    The search ends a branch at a solution cube, where no clause is open and
+    every unassigned variable is free; the count adds 2^free per cube. A
+    decision is the same search cut off at its first cube, whose assignment
+    (-1 for free variables) is the model.
 
     Clause state is maintained incrementally under a trail of assignments:
     ``sat_count[c]`` satisfied literals, ``unassigned[c]`` open literals.
@@ -84,14 +92,21 @@ class _Dpll:
     rescans the clause database.
     """
 
-    def __init__(self, formula: CnfFormula, node_budget: int | None, want_sums: bool):
+    def __init__(
+        self,
+        formula: CnfFormula,
+        node_budget: int | None,
+        want_sums: bool = False,
+        first_model: bool = False,
+    ):
         self.n = formula.num_vars
         self.clauses = [tuple(c) for c in formula.clauses]
         self.budget = node_budget
         self.nodes = 0
         self.count = 0
         self.sums = [0] * (self.n + 1) if want_sums else None
-        self.model: list[int] | None = None  # the decision's model, once found
+        self.first_model = first_model
+        self.model: list[int] | None = None  # with first_model, once found
         m = len(self.clauses)
         self.sat_count = [0] * m
         self.unassigned = [len(c) for c in self.clauses]
@@ -173,9 +188,10 @@ class _Dpll:
                 best_var, best_score = v, self.static_score[v]
         return best_var
 
-    def _leaf(self, depth: int):
-        free = self.n - depth
-        block = 1 << free
+    def _leaf(self, depth: int) -> bool:
+        """Count the solution cube reached at ``depth`` assigned variables;
+        True when the search stops at its first model, which it records."""
+        block = 1 << (self.n - depth)
         self.count += block
         if self.sums is not None:
             half = block >> 1
@@ -186,58 +202,36 @@ class _Dpll:
                     sums[v] += block
                 elif assign[v] == -1:
                     sums[v] += half
+        if self.first_model:
+            self.model = self.assign[1:]
+        return self.first_model
 
-    def _count_search(self, depth: int, queue: list[int]):
+    def _search(self, depth: int, queue: list[int]) -> bool:
+        """Propagate ``queue``, then branch 1 before 0 on an open variable;
+        True once a leaf stops the search."""
         trail: list[int] = []
+        stop = False
         if self._propagate(queue, trail):
             d = depth + len(trail)
             var = self._pick_branch_var()
             if var == 0:
-                self._leaf(d)
+                stop = self._leaf(d)
             else:
                 for val in (1, 0):
                     sub_queue: list[int] = []
                     if self._set(var, val, sub_queue):
-                        self._count_search(d + 1, sub_queue)
+                        stop = self._search(d + 1, sub_queue)
                     self._unset(var)
-        for var in reversed(trail):
-            self._unset(var)
-
-    def _decide_search(self, queue: list[int]) -> bool:
-        trail: list[int] = []
-        found = False
-        if self._propagate(queue, trail):
-            var = self._pick_branch_var()
-            if var == 0:
-                found = True
-                self.model = self.assign[1:]
-            else:
-                for val in (1, 0):
-                    sub_queue: list[int] = []
-                    ok = self._set(var, val, sub_queue)
-                    if ok and self._decide_search(sub_queue):
-                        found = True
-                    self._unset(var)
-                    if found:
+                    if stop:
                         break
         for var in reversed(trail):
             self._unset(var)
-        return found
+        return stop
 
-    def _initial_queue(self) -> list[int]:
-        return [ci for ci, c in enumerate(self.clauses) if len(c) == 1]
-
-    def run_count(self) -> tuple[int, list[int] | None]:
-        if any(len(c) == 0 for c in self.clauses):
-            return 0, self.sums
-        self._count_search(0, self._initial_queue())
-        return self.count, self.sums
-
-    def run_decide(self) -> list[int] | None:
-        if any(len(c) == 0 for c in self.clauses):
-            return None
-        self._decide_search(self._initial_queue())
-        return self.model
+    def run(self) -> _Dpll:
+        if all(self.clauses):  # an empty clause has no model
+            self._search(0, [ci for ci, c in enumerate(self.clauses) if len(c) == 1])
+        return self
 
 
 def exact_count(
@@ -248,21 +242,21 @@ def exact_count(
     Independent of :func:`enumerate_models`; the two must agree wherever both
     apply. Raises :class:`BudgetExceededError` when the node budget runs out.
     """
-    count, _ = _Dpll(formula, node_budget, want_sums=False).run_count()
+    count = _Dpll(formula, node_budget).run().count
     ln = float(math.log(count)) if count > 0 else None
     return ExactResult(count, ln)
 
 
-def exact_marginals(
-    formula: CnfFormula, node_budget: int | None = DEFAULT_NODE_BUDGET
-) -> np.ndarray:
+def exact_marginals(formula: CnfFormula) -> np.ndarray:
     """Exact marginals b_i(1) over the uniform distribution on models.
 
     Computed in one DPLL counting pass that also accumulates, per variable,
-    the number of models where the variable is 1. Raises ``ValueError`` on
-    unsatisfiable input (marginals are undefined there).
+    the number of models where the variable is 1, within
+    ``DEFAULT_NODE_BUDGET`` nodes. Raises ``ValueError`` on unsatisfiable
+    input (marginals are undefined there).
     """
-    count, sums = _Dpll(formula, node_budget, want_sums=True).run_count()
+    dpll = _Dpll(formula, DEFAULT_NODE_BUDGET, want_sums=True).run()
+    count, sums = dpll.count, dpll.sums
     if count == 0:
         raise ValueError("marginals are undefined for an unsatisfiable formula")
     assert sums is not None
@@ -277,15 +271,17 @@ def exact_marginals(
     return np.array([ratio(sums[v]) for v in range(1, formula.num_vars + 1)])
 
 
-def find_model(formula: CnfFormula, node_budget: int | None = None) -> list[int] | None:
-    """A model by DPLL with unit propagation, or None when there is none.
+def find_model(formula: CnfFormula) -> list[int] | None:
+    """A model by DPLL with unit propagation, or None when there is none:
+    the counting search, stopped at its first solution cube, with no node
+    budget.
 
     Entry ``v - 1`` is variable v's value, 0 or 1, or -1 when the model
     leaves v free: every clause is satisfied by an assigned variable.
     """
-    return _Dpll(formula, node_budget, want_sums=False).run_decide()
+    return _Dpll(formula, None, first_model=True).run().model
 
 
-def satisfiable(formula: CnfFormula, node_budget: int | None = None) -> bool:
+def satisfiable(formula: CnfFormula) -> bool:
     """Complete satisfiability decision (DPLL with unit propagation)."""
-    return find_model(formula, node_budget) is not None
+    return find_model(formula) is not None

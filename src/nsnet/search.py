@@ -37,11 +37,13 @@ class SlsConfig:
 
 @dataclass(frozen=True)
 class SlsResult:
+    """A WalkSAT run: the model when ``solved``, the tries it took (or
+    ``max_tries``), and the flips over all of them."""
+
     solved: bool
     assignment: tuple[int, ...] | None
     tries_used: int
     flips_total: int
-    flips_last_try: int
 
 
 def round_marginals(marginals: np.ndarray) -> tuple[int, ...]:
@@ -122,9 +124,9 @@ def sls_solve(
     n = formula.num_vars
     if formula.num_clauses == 0:
         a = tuple(initial) if initial is not None else (0,) * n
-        return SlsResult(True, a, 0, 0, 0)
+        return SlsResult(True, a, 0, 0)
     if formula.has_empty_clause():
-        return SlsResult(False, None, config.max_tries, 0, 0)
+        return SlsResult(False, None, config.max_tries, 0)
     max_flips = config.max_flips if config.max_flips is not None else 100 * n
     rng = random.Random(config.seed)
 
@@ -151,6 +153,6 @@ def sls_solve(
             flips_this += 1
             flips_total += 1
         if not state.unsat:
-            return SlsResult(True, tuple(assign), try_i, flips_total, flips_this)
-    return SlsResult(False, None, config.max_tries, flips_total, flips_this)
+            return SlsResult(True, tuple(assign), try_i, flips_total)
+    return SlsResult(False, None, config.max_tries, flips_total)
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -310,6 +311,51 @@ def test_pipeline_end_to_end(tmp_path, capsys, task):
         doc = ok(argv + ["--jobs", jobs, "--out", report], REPORT_KEYS[argv[2]])
         assert doc["instances"] == 5
     assert reports[0].read_bytes() == reports[1].read_bytes() == reports[2].read_bytes()
+
+
+# SHA-256 of each directory's file names and bytes (see tree_digest): gen
+# --count 4 --num-vars 10-20 --seed 3, then label of that corpus per task
+PINNED_DIGESTS = {
+    "sr": {
+        "gen": "32668a0e136e890e3a3510e1f607e166dbbaede0078058cdef6d82cd83337c68",
+        "marginals": "831a423feaac9968e768500830f4ec3808d02b6632fc86de4e54cb7cf29958ff",
+        "counting": "b27017d80e861547c78f6a7193ed0d93962b574aac49139f7543652dd5ac5fe1",
+    },
+    "ca": {
+        "gen": "7c5168c73746b26f05e8ac606ff17800bb4ac5f0d6cfc2462f4ccaf297287164",
+        "marginals": "7fc210b175cad2713f653bea3656c34df308b0a85afe80502084ca3026229746",
+        "counting": "d5adc5f0a6bd17323e29d9776ccbb5d8eccd34f6f2faa96f39a7616a07b331b2",
+    },
+    "random3sat": {
+        "gen": "c8e8b222a8d825a4554b6d883195bc51f5c26d0c83c7c0253344b1b031745b51",
+        "marginals": "360ee08263cdbaa178f2ef59193b1b07396d500cec084ca6ce18fda811cbef91",
+        "counting": "1d3cad2bb1d0ce0d47b54598b9bb6f0590d152aeb098ee6ed9bb24f281111169",
+    },
+}
+
+
+def tree_digest(directory: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("dist", sorted(PINNED_DIGESTS))
+def test_gen_and_label_outputs_are_pinned(tmp_path, capsys, dist):
+    """A corpus and its labels are the same files in every version: the
+    pinned digests are of the outputs when they were first recorded."""
+    data = tmp_path / "data"
+    code, _ = run_cli(capsys, ["gen", "--dist", dist, "--count", "4", "--num-vars", "10-20",
+                               "--seed", "3", "--out", data])
+    assert code == cli.EXIT_OK
+    got = {"gen": tree_digest(data)}
+    for task in ("marginals", "counting"):
+        labels = tmp_path / task
+        code, _ = run_cli(capsys, ["label", "--data", data, "--task", task, "--out", labels])
+        assert code == cli.EXIT_OK
+        got[task] = tree_digest(labels)
+    assert got == PINNED_DIGESTS[dist]
 
 
 def test_exit_codes_of_errors(tmp_path, capsys):

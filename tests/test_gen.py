@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
-from nsnet import oracle
+from nsnet import gen, oracle
 from nsnet.cnf import CnfFormula
 from nsnet.gen import (
     SR_MAX_CLAUSE_LEN,
@@ -113,13 +113,11 @@ class TestSr:
 
 
 class TestCa:
-    def test_intra_community_rate(self):
+    def test_intra_community_rate(self, monkeypatch):
         # Q = 0.9 with 3 communities of 10: over many clauses at least 80%
         # must be intra-community (binomial check on the placement rule)
-        config = GenConfig(
-            distribution="ca", num_vars=30,
-            ca_communities=(3, 3), ca_modularity=(0.9, 0.9),
-        )
+        monkeypatch.setattr(gen, "CA_COMMUNITIES", (3, 3))
+        monkeypatch.setattr(gen, "CA_MODULARITY", (0.9, 0.9))
         bounds = np.linspace(0, 30, 4).astype(int)
         community_of = {}
         for j in range(3):
@@ -127,20 +125,18 @@ class TestCa:
                 community_of[v] = j
         intra = total = 0
         for seed in range(400):  # ~400 * 27 clauses: a 10k-clause sample
-            f = gen_ca(30, seed=seed, config=config)
+            f = gen_ca(30, seed=seed)
             for clause in f.clauses:
                 cs = {community_of[abs(l)] for l in clause}
                 total += 1
                 intra += len(cs) == 1
         assert intra / total >= 0.80
 
-    def test_full_modularity_boundary(self):
-        config = GenConfig(
-            distribution="ca", num_vars=30,
-            ca_communities=(3, 3), ca_modularity=(1.0, 1.0),
-        )
+    def test_full_modularity_boundary(self, monkeypatch):
+        monkeypatch.setattr(gen, "CA_COMMUNITIES", (3, 3))
+        monkeypatch.setattr(gen, "CA_MODULARITY", (1.0, 1.0))
         bounds = np.linspace(0, 30, 4).astype(int)
-        f = gen_ca(30, seed=7, config=config)
+        f = gen_ca(30, seed=7)
         for clause in f.clauses:
             communities = {
                 int(np.searchsorted(bounds, abs(l), side="left") - 1)
@@ -150,20 +146,17 @@ class TestCa:
             assert len(communities) == 1
 
     def test_deterministic(self):
-        config = GenConfig(distribution="ca", num_vars=30)
-        assert gen_ca(30, seed=2, config=config) == gen_ca(30, seed=2, config=config)
+        assert gen_ca(30, seed=2) == gen_ca(30, seed=2)
 
     def test_structure(self):
-        config = GenConfig(distribution="ca", num_vars=24)
-        f = gen_ca(24, seed=1, config=config)
+        f = gen_ca(24, seed=1)
         assert f.num_clauses == clause_count_3sat(24)
         for clause in f.clauses:
             assert len({abs(l) for l in clause}) == 3
 
     def test_too_few_variables(self):
-        config = GenConfig(distribution="ca", num_vars=8)
         with pytest.raises(ValueError):
-            gen_ca(8, seed=0, config=config)
+            gen_ca(8, seed=0)
 
 
 class TestConfigAndSeeds:
@@ -187,5 +180,3 @@ class TestConfigAndSeeds:
             GenConfig(distribution="nope")
         with pytest.raises(ValueError):
             GenConfig(num_vars=(5, 3))
-        with pytest.raises(ValueError):
-            GenConfig(ca_modularity=(0.0, 0.5))

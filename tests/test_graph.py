@@ -189,6 +189,14 @@ class TestEnumerationPlan:
         with pytest.raises(ValueError):
             g.satisfying_enumeration(10)
 
+    def test_one_plan_per_graph_and_the_cap_checked_every_call(self):
+        g = build_factor_graph(helpers.F0)
+        assert g.satisfying_enumeration(10) is g.satisfying_enumeration(12)
+        g = build_factor_graph(CnfFormula(11, (tuple(range(1, 12)),)))
+        assert g.satisfying_enumeration(12).num_rows == 2**11 - 1
+        with pytest.raises(ValueError):
+            g.satisfying_enumeration(10)
+
     def test_plan_equals_looped_reference(self):
         rng = np.random.default_rng(4)
         for _ in range(60):

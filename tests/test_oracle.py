@@ -131,6 +131,7 @@ class TestProperties:
             assert satisfiable(formula) == bool(enumerate_models(formula, limit=1))
             # the decision's model satisfies every clause through an assigned variable
             model = find_model(formula)
+            assert (model is None) == (exact_count(formula).model_count == 0)
             if model is not None:
                 assert all(
                     any(model[abs(l) - 1] == (l > 0) for l in clause) for clause in formula.clauses

@@ -76,8 +76,3 @@ class TestSls:
             big = sls_solve(formula, SlsConfig(max_tries=10, max_flips=400, seed=seed))
             if small.solved:
                 assert big.solved
-
-    def test_flip_counters_consistent(self):
-        formula = gen_random_3sat(10, seed=4)
-        result = sls_solve(formula, SlsConfig(max_tries=50, seed=11))
-        assert result.flips_last_try <= result.flips_total
