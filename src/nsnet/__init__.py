@@ -6,9 +6,9 @@ with an exact desk-scale oracle, instance generators, and local search
 started from rounded marginals.
 """
 
-from .cnf import CnfFormula, DimacsError, emit_dimacs, evaluate, normalize, parse_dimacs, simplify
+from .cnf import CnfFormula, DimacsError, emit_dimacs, evaluate, normalize, parse_dimacs
 from .graph import FactorGraph, build_factor_graph
-from .oracle import ExactResult, enumerate_models, exact_count, exact_marginals, satisfiable
+from .oracle import ExactResult, exact_count, exact_marginals, satisfiable
 from .bp import BpConfig, BpState, bethe_ln_z, bp_marginals, bp_run
 from .net import (
     ModelParams,
@@ -25,9 +25,9 @@ from .gen import GenConfig, clause_count_3sat, gen_ca, gen_random_3sat, gen_sr
 
 __all__ = [
     "CnfFormula", "DimacsError", "parse_dimacs", "emit_dimacs", "evaluate",
-    "normalize", "simplify",
+    "normalize",
     "FactorGraph", "build_factor_graph",
-    "ExactResult", "enumerate_models", "exact_count", "exact_marginals", "satisfiable",
+    "ExactResult", "exact_count", "exact_marginals", "satisfiable",
     "BpConfig", "BpState", "bp_run", "bp_marginals", "bethe_ln_z",
     "ModelParams", "NsnetOutput", "init_params", "bp_reduction_params", "forward",
     "save_params", "load_params",

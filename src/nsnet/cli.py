@@ -371,11 +371,7 @@ def _eval_count_row(args, params, name):
 
 
 def rmse(preds, truths) -> float:
-    """Root mean square error over paired lists."""
-    if len(preds) != len(truths):
-        raise ValueError("length mismatch")
-    if not preds:
-        raise ValueError("empty input")
+    """Root mean square error over paired, nonempty lists."""
     return math.sqrt(
         sum((p - t) ** 2 for p, t in zip(preds, truths)) / len(preds)
     )

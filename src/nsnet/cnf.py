@@ -1,13 +1,12 @@
-"""CNF data model, DIMACS parsing/serialization, evaluation and simplification.
+"""CNF data model, DIMACS parsing/serialization and evaluation.
 
 Conventions used throughout the package:
 
 * variables are numbered ``1..num_vars``; a literal is ``v`` or ``-v``;
 * a total assignment is a sequence of 0/1 values where position ``v - 1``
   holds the value of variable ``v``;
-* a partial assignment is a mapping ``variable -> 0/1``;
-* the empty clause ``()`` is the explicit "unsatisfiable" marker and is
-  normally only produced by :func:`simplify`.
+* the empty clause ``()`` is the explicit "unsatisfiable" marker; DIMACS
+  input yields one for a bare ``0``.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -15,7 +14,7 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 Clause = tuple[int, ...]
 Assignment = Sequence[int]
@@ -175,65 +174,3 @@ def evaluate(formula: CnfFormula, assignment: Assignment) -> bool:
             return False
     return True
 
-
-_UNSAT_MARKER = ((),)
-
-
-def simplify(
-    formula: CnfFormula,
-    fixed: Mapping[int, int] | Iterable[tuple[int, int]],
-    unit_propagate: bool = False,
-) -> CnfFormula:
-    """Substitute fixed values and simplify.
-
-    Satisfied clauses are removed and falsified literals dropped from the
-    rest. With ``unit_propagate`` the variables forced by unit clauses are
-    fixed repeatedly until a fixpoint. Variable indexing is preserved: fixed
-    variables simply stop being referenced. If a contradiction arises the
-    result is the canonical unsatisfiable marker (a single empty clause).
-    """
-    values: dict[int, int] = {}
-    pairs = fixed.items() if isinstance(fixed, Mapping) else fixed
-    for var, val in pairs:
-        if not (1 <= var <= formula.num_vars):
-            raise ValueError(f"fixed variable {var} out of range")
-        if val not in (0, 1):
-            raise ValueError(f"fixed value for variable {var} must be 0 or 1")
-        if values.get(var, val) != val:
-            raise ValueError(f"conflicting fixed values for variable {var}")
-        values[var] = val
-
-    clauses = list(formula.clauses)
-    while True:
-        out: list[Clause] = []
-        for clause in clauses:
-            kept: list[int] = []
-            satisfied = False
-            for lit in clause:
-                val = values.get(abs(lit))
-                if val is None:
-                    kept.append(lit)
-                elif val == (1 if lit > 0 else 0):
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if not kept:
-                return CnfFormula(formula.num_vars, _UNSAT_MARKER)
-            out.append(tuple(kept))
-
-        if not unit_propagate:
-            return CnfFormula(formula.num_vars, tuple(out))
-
-        forced: dict[int, int] = {}
-        for clause in out:
-            if len(clause) == 1:
-                lit = clause[0]
-                val = 1 if lit > 0 else 0
-                if forced.get(abs(lit), val) != val:
-                    return CnfFormula(formula.num_vars, _UNSAT_MARKER)
-                forced[abs(lit)] = val
-        if not forced:
-            return CnfFormula(formula.num_vars, tuple(out))
-        values.update(forced)
-        clauses = out

@@ -319,14 +319,10 @@ def bp_reduction_params() -> ModelParams:
 
 @dataclass
 class NsnetOutput:
-    """Marginals b_i(1), per-clause log factor beliefs, and the ln Z estimate.
-
-    ``factor_beliefs`` and ``ln_z`` are None when the counting readout was
-    not requested.
-    """
+    """Marginals b_i(1) and the ln Z estimate; ``ln_z`` is None when the
+    counting readout was not requested."""
 
     marginals: np.ndarray
-    factor_beliefs: list[np.ndarray] | None
     ln_z: float | None
 
 
@@ -558,9 +554,10 @@ def forward(
 ) -> NsnetOutput:
     """Inference on a single formula's factor graph.
 
-    With ``with_count`` the factor-belief readout and the ln Z estimate are
-    computed as well, which requires every clause length to be at most
-    ``DEFAULT_FACTOR_ENUM_CAP`` (marginals have no such restriction).
+    With ``with_count`` the ln Z estimate is computed as well, from the
+    factor-belief readout, which requires every clause length to be at most
+    ``DEFAULT_FACTOR_ENUM_CAP`` (marginals have no such restriction). The
+    factor beliefs themselves stay internal (``_forward(...).lbf``).
 
     Keeps no tape. Before its loop, a call allocates, in the model's dtype:
     the c2v messages; one set of the arrays an iteration writes (v2c, A3's
@@ -578,17 +575,8 @@ def forward(
     (``train.grad``), and gets these numbers bit for bit.
     """
     tape = _forward(graph, params, T, want_count=with_count, keep_tape=False)
-    marginals = np.exp(tape.lbv[:, 1])
-    factor_beliefs = None
-    ln_z = None
-    if with_count:
-        assert tape.plan is not None and tape.lbf is not None
-        starts = tape.plan.row_start
-        factor_beliefs = [
-            tape.lbf[starts[a]: starts[a + 1]] for a in range(graph.num_clauses)
-        ]
-        ln_z = float(tape.ln_z)
-    return NsnetOutput(marginals, factor_beliefs, ln_z)
+    ln_z = float(tape.ln_z) if with_count else None
+    return NsnetOutput(np.exp(tape.lbv[:, 1]), ln_z)
 
 
 def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
@@ -738,13 +726,15 @@ def backward(
 
 
 def save_params(params: ModelParams, path) -> None:
-    """Versioned JSON weight file; floats round-trip losslessly via repr."""
+    """Versioned JSON weight file; floats round-trip losslessly via repr.
 
-    def encode(net: Net):
-        if isinstance(net, Identity):
-            return {"kind": "identity"}
-        if isinstance(net, PairNormalize):
-            return {"kind": "pair_normalize"}
+    Only learned weights are saved: a network that is not an :class:`Mlp`
+    (the BP-reduction configuration) raises ``ValueError``.
+    """
+
+    def encode(name: str, net: Net):
+        if not isinstance(net, Mlp):
+            raise ValueError(f"{name}: only MLP networks are saved, not {type(net).__name__}")
         return {
             "kind": "mlp",
             "layers": [
@@ -765,7 +755,7 @@ def save_params(params: ModelParams, path) -> None:
         "h2": [float(x) for x in params.h2],
     }
     for name, net in params.nets():
-        doc[name] = encode(net)
+        doc[name] = encode(name, net)
     with open(path, "w") as fh:
         json.dump(doc, fh)
 
@@ -786,12 +776,8 @@ def load_params(path) -> ModelParams:
             f"unsupported weight file version {doc.get('version') if isinstance(doc, dict) else None!r}"
         )
 
-    def decode(entry, in_dim: int, out_dim: int, name: str) -> Net:
+    def decode(entry, in_dim: int, out_dim: int, name: str) -> Mlp:
         kind = entry.get("kind")
-        if kind == "identity":
-            return Identity()
-        if kind == "pair_normalize":
-            return PairNormalize()
         if kind != "mlp":
             raise ParamsFormatError(f"{name}: unknown network kind {kind!r}")
         weights, biases = [], []

@@ -1,11 +1,10 @@
-"""Exact ground truth at desk scale: model enumeration, counting, marginals.
+"""Exact ground truth at desk scale: counting, marginals and decisions.
 
-Two independent algorithms serve as mutual oracles: a brute-force
-enumerator over the full assignment table and a DPLL-style backtracking
-counter with unit propagation and free-variable multiplication. Counting,
-marginals and the satisfiability decision run one search; a decision stops
-it at the first model. Counts are arbitrary-precision integers; only
-``ln_count`` is floating point.
+A DPLL-style backtracking counter with unit propagation and free-variable
+multiplication; the test suite holds it to brute-force enumeration over the
+full assignment table. Counting, marginals and the satisfiability decision
+run one search; a decision stops it at the first model. Counts are
+arbitrary-precision integers; only ``ln_count`` is floating point.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ import numpy as np
 
 from .cnf import CnfFormula
 
-ENUMERATION_VAR_LIMIT = 30
 DEFAULT_NODE_BUDGET = 50_000_000
-_CHUNK_BITS = 18
 
 
 class BudgetExceededError(RuntimeError):
@@ -33,48 +30,6 @@ class ExactResult:
 
     model_count: int
     ln_count: float | None
-
-
-def enumerate_models(
-    formula: CnfFormula, limit: int | None = None
-) -> list[tuple[int, ...]]:
-    """All satisfying assignments in lexicographic order, truncated at limit.
-
-    Lexicographic means tuple order on ``(x1, ..., xn)`` with 0 < 1. Brute
-    force over the full table, evaluated in vectorized chunks; guarded to
-    ``num_vars <= 30``.
-    """
-    n = formula.num_vars
-    if n > ENUMERATION_VAR_LIMIT:
-        raise ValueError(
-            f"enumeration guard: {n} variables exceeds limit {ENUMERATION_VAR_LIMIT}"
-        )
-    if formula.has_empty_clause():
-        return []
-    if limit is not None and limit <= 0:
-        return []
-
-    models: list[tuple[int, ...]] = []
-    # variable v's value is bit (n - v) of the code, so code order is
-    # lexicographic order on the assignment tuple
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    chunk = 1 << min(_CHUNK_BITS, n)
-    for start in range(0, 1 << n, chunk):
-        codes = np.arange(start, start + chunk, dtype=np.uint64)
-        bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        ok = np.ones(len(codes), dtype=bool)
-        for clause in formula.clauses:
-            sat = np.zeros(len(codes), dtype=bool)
-            for lit in clause:
-                sat |= bits[:, abs(lit) - 1] == (1 if lit > 0 else 0)
-            ok &= sat
-            if not ok.any():
-                break
-        for row in bits[ok]:
-            models.append(tuple(int(x) for x in row))
-            if limit is not None and len(models) >= limit:
-                return models
-    return models
 
 
 class _Dpll:
@@ -239,8 +194,7 @@ def exact_count(
 ) -> ExactResult:
     """Exact model count by DPLL backtracking with unit propagation.
 
-    Independent of :func:`enumerate_models`; the two must agree wherever both
-    apply. Raises :class:`BudgetExceededError` when the node budget runs out.
+    Raises :class:`BudgetExceededError` when the node budget runs out.
     """
     count = _Dpll(formula, node_budget).run().count
     ln = float(math.log(count)) if count > 0 else None

@@ -29,6 +29,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# global L2 norm the gradient is clipped to before each Adam step
+CLIP_NORM = 0.65
+
 TASKS = ("marginals", "counting")
 
 
@@ -45,7 +48,6 @@ class TrainConfig:
     task: str = "marginals"
     learning_rate: float = 1e-4
     weight_decay: float = 1e-10
-    clip_norm: float = 0.65
     batch_size: int = 16
     epochs: int = 10
     seed: int = 0
@@ -58,12 +60,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.learning_rate <= 0 or self.clip_norm <= 0:
-            raise ValueError("learning_rate and clip_norm must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
         if self.batch_size < 1 or self.T < 0 or self.d < 1:
             raise ValueError("bad batch_size/T/d")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 @dataclass
@@ -209,7 +213,7 @@ def adam_step(
     if not math.isfinite(_global_sq_norm(grads)):
         log.warning("non-finite gradient norm at step %s; step skipped", t)
         return params, state
-    grads = clip_global_norm(grads, config.clip_norm)
+    grads = clip_global_norm(grads, CLIP_NORM)
     new_params = params.copy()
     arrays = dict(new_params.param_items())
     new_m, new_v = {}, {}
@@ -240,13 +244,6 @@ def split_dataset(instances: list, ratios: tuple[float, float, float], seed: int
     b2 = round((ratios[0] + ratios[1]) * len(instances))
     pick = lambda idx: [instances[i] for i in idx]
     return pick(order[:b1]), pick(order[b1:b2]), pick(order[b2:])
-
-
-def evaluate_loss(
-    instances: list[LabeledInstance], params: net.ModelParams, config: TrainConfig
-) -> float:
-    """Mean per-instance loss over a dataset; NaN for an empty one."""
-    return batch_loss(instances, params, config) if instances else math.nan
 
 
 def train_loop(
@@ -299,7 +296,7 @@ def train_loop(
                 stop = True
                 break
         train_loss = epoch_loss / max(seen, 1)
-        val_loss = evaluate_loss(val, params, config) if val else math.nan
+        val_loss = batch_loss(val, params, config) if val else math.nan
         history.append((epoch, train_loss, val_loss))
         if val and val_loss < best_val:
             best_val = val_loss

@@ -16,7 +16,6 @@ import numpy as np
 from nsnet import bp, gen, oracle
 from nsnet.cnf import CnfFormula
 from nsnet.graph import FactorGraph, bethe_sum, log1mexp
-from nsnet.oracle import enumerate_models
 
 # the running example: (x1 or not x2) and (x1 or x3) and (not x1 or x2 or x3)
 F0 = CnfFormula(3, ((1, -2), (1, 3), (-1, 2, 3)))
@@ -78,18 +77,31 @@ def random_tree_formula(rng, n, unit_prob=0.15, max_len=3):
     return CnfFormula(n, tuple(clauses))
 
 
+def enumerate_models(formula: CnfFormula) -> list[tuple[int, ...]]:
+    """All satisfying assignments in lexicographic order: the brute-force
+    reference the DPLL oracle is held to.
+
+    Lexicographic means tuple order on ``(x1, ..., xn)`` with 0 < 1. Every
+    clause is evaluated over the full truth table at once, so keep
+    ``num_vars`` small.
+    """
+    n = formula.num_vars
+    # variable v's value is bit (n - v) of the row's code, so row order is
+    # lexicographic order on the assignment tuple
+    shifts = np.arange(n - 1, -1, -1)
+    bits = (np.arange(1 << n)[:, None] >> shifts[None, :]) & 1
+    ok = np.ones(len(bits), dtype=bool)
+    for clause in formula.clauses:
+        sat = np.zeros(len(bits), dtype=bool)
+        for lit in clause:
+            sat |= bits[:, abs(lit) - 1] == (1 if lit > 0 else 0)
+        ok &= sat
+    return [tuple(row) for row in bits[ok].tolist()]
+
+
 def brute_model_count(formula: CnfFormula) -> int:
-    """Model count by raw truth-table enumeration (itertools, no numpy)."""
-    count = 0
-    for bits in itertools.product((0, 1), repeat=formula.num_vars):
-        ok = True
-        for clause in formula.clauses:
-            if not any(bits[abs(l) - 1] == (1 if l > 0 else 0) for l in clause):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    """Model count by truth-table enumeration."""
+    return len(enumerate_models(formula))
 
 
 def marginals_by_enumeration(formula: CnfFormula) -> np.ndarray:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import helpers
-from nsnet import oracle
 from nsnet.cnf import (
     CnfFormula,
     DimacsError,
@@ -10,7 +9,6 @@ from nsnet.cnf import (
     evaluate,
     normalize,
     parse_dimacs,
-    simplify,
 )
 
 F0_TEXT = "p cnf 3 3\n1 -2 0\n1 3 0\n-1 2 3 0\n"
@@ -97,7 +95,7 @@ class TestEmit:
 
 class TestEvaluate:
     def test_against_brute_force_on_f0(self):
-        models = set(oracle.enumerate_models(helpers.F0))
+        models = set(helpers.enumerate_models(helpers.F0))
         for code in range(8):
             a = tuple((code >> s) & 1 for s in (2, 1, 0))
             assert evaluate(helpers.F0, a) == (a in models)
@@ -114,42 +112,6 @@ class TestEvaluate:
     def test_missing_variable_is_error(self):
         with pytest.raises(ValueError):
             evaluate(helpers.F0, (1, 1))
-
-
-class TestSimplify:
-    def test_f0_with_x1_true(self):
-        result = simplify(helpers.F0, {1: 1})
-        assert result.clauses == ((2, 3),)
-        assert result.num_vars == 3  # indexing preserved
-
-    def test_direct_contradiction(self):
-        formula = CnfFormula(1, ((1,), (-1,)))
-        result = simplify(formula, {1: 1}, unit_propagate=False)
-        assert result.clauses == ((),)
-
-    def test_empty_fixed_is_identity(self):
-        assert simplify(helpers.F0, {}) == helpers.F0
-
-    def test_unit_propagation_to_fixpoint(self):
-        # x1 forces x2 forces x3
-        formula = CnfFormula(3, ((1,), (-1, 2), (-2, 3)))
-        result = simplify(formula, {}, unit_propagate=True)
-        assert result.clauses == ()
-
-    def test_unit_propagation_finds_conflict(self):
-        formula = CnfFormula(2, ((1,), (-1, 2), (-1, -2)))
-        result = simplify(formula, {}, unit_propagate=True)
-        assert result.clauses == ((),)
-
-    def test_conflicting_fixed_values(self):
-        with pytest.raises(ValueError):
-            simplify(helpers.F0, [(1, 1), (1, 0)])
-
-    def test_fixed_value_validation(self):
-        with pytest.raises(ValueError):
-            simplify(helpers.F0, {1: 2})
-        with pytest.raises(ValueError):
-            simplify(helpers.F0, {9: 1})
 
 
 class TestProperties:
@@ -172,18 +134,6 @@ class TestProperties:
             twice, warnings = normalize(once)
             assert once == twice
             assert warnings == []
-
-    def test_simplification_soundness_by_enumeration(self):
-        rng = np.random.default_rng(11)
-        for _ in range(60):
-            n = int(rng.integers(2, 9))
-            formula = helpers.random_formula(rng, n, int(rng.integers(1, 3 * n)))
-            subset = [v for v in range(1, n + 1) if rng.random() < 0.5]
-            for code in range(1 << n):
-                a = tuple((code >> (n - v)) & 1 for v in range(1, n + 1))
-                restricted = {v: a[v - 1] for v in subset}
-                simplified = simplify(formula, restricted)
-                assert evaluate(formula, a) == evaluate(simplified, a)
 
     def test_tautology_removal_preserves_model_count(self):
         rng = np.random.default_rng(13)

@@ -63,13 +63,18 @@ class TestSaveLoad:
             assert va.shape == vb.shape
             assert np.array_equal(va, vb)
 
-    def test_reduction_round_trip(self, tmp_path):
+    def test_reduction_params_are_not_saved(self, tmp_path):
+        # only learned weights have a file; the reduction is the CLI's name
         path = tmp_path / "r.json"
-        save_params(bp_reduction_params(), path)
-        q = load_params(path)
-        out = forward(build_factor_graph(helpers.F0), q, 10)
-        ref = forward(build_factor_graph(helpers.F0), bp_reduction_params(), 10)
-        assert np.array_equal(out.marginals, ref.marginals)
+        with pytest.raises(ValueError, match="a1"):
+            save_params(bp_reduction_params(), path)
+        assert not path.exists()
+        save_params(init_params(1, seed=0), path)
+        doc = json.loads(path.read_text())
+        doc["a1"] = {"kind": "identity"}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParamsFormatError, match="identity"):
+            load_params(path)
 
     def test_wrong_d_is_shape_error(self, tmp_path):
         p = init_params(3, seed=1)
@@ -140,6 +145,14 @@ class TestReduction:
         assert np.abs(out.marginals - bp_marginals(state, graph)).max() <= 1e-9
 
 
+def factor_beliefs(graph, params, T):
+    """Per-clause log factor beliefs of the tape-free forward: its ``lbf``
+    split by the enumeration plan's ``row_start``."""
+    tape = net._forward(graph, params, T, want_count=True, keep_tape=False)
+    starts = tape.plan.row_start
+    return [tape.lbf[starts[a]: starts[a + 1]] for a in range(graph.num_clauses)]
+
+
 class TestForward:
     def test_marginal_pairs_sum_to_one(self):
         rng = np.random.default_rng(8)
@@ -152,8 +165,7 @@ class TestForward:
         rng = np.random.default_rng(9)
         params = init_params(8, seed=2)
         formula = helpers.random_formula(rng, 8, 20, min_len=2)
-        out = forward(build_factor_graph(formula), params, 5)
-        for beliefs in out.factor_beliefs:
+        for beliefs in factor_beliefs(build_factor_graph(formula), params, 5):
             assert abs(np.exp(beliefs).sum() - 1.0) <= 1e-12
 
     def test_isolated_variable_gets_half(self):
@@ -199,16 +211,15 @@ class TestTapeFree:
     @staticmethod
     def assert_equals_tape_path(graph, params, T, with_count):
         out = forward(graph, params, T, with_count=with_count)
+        free = net._forward(graph, params, T, want_count=with_count, keep_tape=False)
         tape = net._forward(graph, params, T, want_count=with_count)
         assert out.marginals.dtype == tape.lbv.dtype
         assert np.array_equal(out.marginals, np.exp(tape.lbv[:, 1]), equal_nan=True)
         if with_count:
-            starts = tape.plan.row_start
-            for a, beliefs in enumerate(out.factor_beliefs):
-                assert np.array_equal(beliefs, tape.lbf[starts[a]: starts[a + 1]], equal_nan=True)
+            assert np.array_equal(free.lbf, tape.lbf, equal_nan=True)
             assert np.array_equal(out.ln_z, tape.ln_z, equal_nan=True)
         else:
-            assert out.ln_z is None and out.factor_beliefs is None
+            assert out.ln_z is None and free.lbf is None
 
     @pytest.mark.parametrize("params_name", ["d16", "d4", "reduction"])
     def test_forward_equals_tape_path(self, params_name):
@@ -257,7 +268,8 @@ class TestTapeFree:
                 out = forward(graph, params, 10, with_count=with_count)
                 assert out.marginals.dtype == np.float32, name
                 if with_count:
-                    assert all(b.dtype == np.float32 for b in out.factor_beliefs), name
+                    free = net._forward(graph, params, 10, want_count=True, keep_tape=False)
+                    assert free.lbf.dtype == np.float32, name
                 self.assert_equals_tape_path(graph, params, 10, with_count)
         assert {dt for dt in seen if dt.kind == "f"} == {np.dtype(np.float32)}
 
@@ -268,11 +280,12 @@ class TestTapeFree:
         graph = build_factor_graph(helpers.inference_corpus()["3sat"])
         params = init_params(16, 0)
         out = forward(graph, params, 5)
+        free = net._forward(graph, params, 5, want_count=True, keep_tape=False)
         tape = net._forward(graph, params, 3, want_count=True)
         recorded = [a for it in tape.iters for a in vars(it).values()]
         for i, a in enumerate(recorded):
             assert not any(np.shares_memory(a, b) for b in recorded[i + 1:])
-        returned = [out.marginals, *out.factor_beliefs, tape.lbv, tape.lbf, tape.sv, *recorded]
+        returned = [out.marginals, free.lbf, tape.lbv, tape.lbf, tape.sv, *recorded]
         kept = [a.copy() for a in returned]
         forward(graph, params, 5)
         forward(graph, params, 5, with_count=False)
@@ -328,8 +341,10 @@ class TestEquivariance:
             b = forward(build_factor_graph(permuted), params, 6)
             assert np.abs(a.marginals - b.marginals[var_perm]).max() <= 1e-9
             assert a.ln_z == pytest.approx(b.ln_z, abs=1e-9)
-            for old_idx, beliefs in zip(clause_perm, b.factor_beliefs):
-                assert np.abs(np.sort(beliefs) - np.sort(a.factor_beliefs[old_idx])).max() <= 1e-9
+            beliefs_a = factor_beliefs(build_factor_graph(formula), params, 6)
+            beliefs_b = factor_beliefs(build_factor_graph(permuted), params, 6)
+            for old_idx, beliefs in zip(clause_perm, beliefs_b):
+                assert np.abs(np.sort(beliefs) - np.sort(beliefs_a[old_idx])).max() <= 1e-9
 
     def test_negation_swaps_marginal_pair(self):
         rng = np.random.default_rng(12)

@@ -1,7 +1,6 @@
-"""Property tests: DIMACS round trip, soundness of ``simplify``, the
-factorized satisfying-completion LSE against enumeration, invariance of
-BP's Bethe ln Z under variable relabeling and negation, and its closed form
-against enumeration.
+"""Property tests: DIMACS round trip, the factorized satisfying-completion
+LSE against enumeration, invariance of BP's Bethe ln Z under variable
+relabeling and negation, and its closed form against enumeration.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -14,10 +13,9 @@ from hypothesis.extra import numpy as hnp
 
 import helpers
 from nsnet.bp import BpConfig, bethe_ln_z, bp_run
-from nsnet.cnf import CnfFormula, emit_dimacs, parse_dimacs, simplify
+from nsnet.cnf import CnfFormula, emit_dimacs, parse_dimacs
 from nsnet.graph import build_factor_graph
 from nsnet.net import satisfying_lse
-from nsnet.oracle import enumerate_models
 
 derandomized = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -39,27 +37,6 @@ def formulas(draw, max_vars=6, max_clauses=8, min_len=1, max_len=4):
 @given(formulas())
 def test_dimacs_round_trip(formula):
     assert parse_dimacs(emit_dimacs(formula)) == (formula, [])
-
-
-@derandomized
-@given(formulas(), st.booleans(), st.data())
-def test_simplify_is_sound(formula, unit_propagate, data):
-    fixed = data.draw(
-        st.dictionaries(st.integers(1, formula.num_vars), st.integers(0, 1))
-    )
-    residual = simplify(formula, fixed, unit_propagate=unit_propagate)
-
-    def agreeing(f):
-        return {m for m in enumerate_models(f) if all(m[v - 1] == b for v, b in fixed.items())}
-
-    before, after = agreeing(formula), agreeing(residual)
-    if unit_propagate:
-        # forced variables leave the residual unconstrained, so it may gain
-        # models, but it keeps every old one and is satisfiable exactly when
-        # the formula is under ``fixed``
-        assert before <= after and bool(before) == bool(after)
-    else:
-        assert before == after
 
 
 @derandomized

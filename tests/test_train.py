@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from nsnet import net, oracle
+from nsnet import cli, net, oracle
 from nsnet.cnf import CnfFormula
 from nsnet.graph import build_factor_graph
 from nsnet.train import (
@@ -16,7 +16,6 @@ from nsnet.train import (
     adam_step,
     batch_loss,
     clip_global_norm,
-    evaluate_loss,
     grad,
     split_dataset,
     train_loop,
@@ -375,7 +374,7 @@ class TestTrainLoop:
         )
         params, history = train_loop(corpus, [], config)
         assert history[-1][1] < history[0][1]
-        final = evaluate_loss(corpus, params, config)
+        final = batch_loss(corpus, params, config)
         assert final < history[0][1]
 
     def test_validation_checkpoint_and_labels_checked(self):
@@ -395,6 +394,22 @@ class TestTrainLoop:
         )
         _, history = train_loop(corpus, [], config)
         assert len(history) == 1
+
+    def test_max_steps_below_one_is_refused(self, tmp_path):
+        # a loop that tests the step count only after a step would still
+        # take one Adam step at max_steps = 0
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_steps"):
+                TrainConfig(max_steps=bad)
+        data, labels, weights = tmp_path / "data", tmp_path / "labels", tmp_path / "w.json"
+        assert cli.main(["gen", "--dist", "sr", "--count", "2", "--num-vars", "6-8",
+                         "--seed", "3", "--out", str(data)]) == cli.EXIT_OK
+        assert cli.main(["label", "--data", str(data), "--task", "marginals",
+                         "--out", str(labels)]) == cli.EXIT_OK
+        code = cli.main(["train", "--data", str(data), "--labels", str(labels),
+                         "--task", "marginals", "--max-steps", "0", "--out", str(weights)])
+        assert code == cli.EXIT_RUNTIME
+        assert not weights.exists()
 
     def test_nonfinite_loss_is_logged_with_its_instance(self, caplog):
         formulas = [inst.formula for inst in self._corpus(4)]
