@@ -7,11 +7,14 @@ computes, on the benchmark's corpora of each workload seed (built by
 ``nsbench/workloads.py`` from ``nsbench/reference.py``, draw 0, exactly as
 the timed rounds see them), these groups of outputs:
 
-- ``sat_nsnet_sls``: the marginals and ln Z of ``forward`` with
-  ``init_params(16, 0)`` and T = 10, per formula;
-- ``count_bp``: per formula, ``bp_run``'s messages, iteration count and
-  convergence flag at 10 iterations, ``bethe_ln_z``, ``bp_marginals``, and
-  the reduction-mode ``forward`` (``bp_reduction_params()``, with count);
+- ``sat_nsnet_sls.marginals`` and ``sat_nsnet_sls.ln_z``: the marginals,
+  and apart from them the ln Z, of ``forward`` with ``init_params(16, 0)``
+  and T = 10, per formula;
+- ``count_bp.bp``: per formula, ``bp_run``'s messages, iteration count and
+  convergence flag at 10 iterations, ``bethe_ln_z`` and ``bp_marginals``;
+- ``count_bp.reduction.marginals`` and ``count_bp.reduction.ln_z``: per
+  formula, the marginals and the ln Z of the reduction-mode ``forward``
+  (``bp_reduction_params()``, with count);
 - ``train_count.batch_loss``: ``train.batch_loss`` of every batch at the
   initial weights;
 - ``train_count.grad``: ``train.grad``'s loss and gradients on each batch
@@ -42,7 +45,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-GROUPS = ("sat_nsnet_sls", "count_bp", "train_count.batch_loss", "train_count.grad")
+GROUPS = (
+    "sat_nsnet_sls.marginals", "sat_nsnet_sls.ln_z",
+    "count_bp.bp", "count_bp.reduction.marginals", "count_bp.reduction.ln_z",
+    "train_count.batch_loss", "train_count.grad",
+)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -78,7 +85,8 @@ def collect(root: Path, seeds: list[int]) -> dict[str, list[list[np.ndarray]]]:
         sat.setup_pass(wl.NULL, 0)
         for _, f in sat.instances:
             out = forward(build_factor_graph(f), sat.params, sat.cfg.T, with_count=True)
-            groups["sat_nsnet_sls"].append([out.marginals, np.array([out.ln_z])])
+            groups["sat_nsnet_sls.marginals"].append([out.marginals])
+            groups["sat_nsnet_sls.ln_z"].append([np.array([out.ln_z])])
 
         count = wl.CountBp(wl.CountSizes(), seed)
         count.setup_pass(wl.NULL, 0)
@@ -86,11 +94,12 @@ def collect(root: Path, seeds: list[int]) -> dict[str, list[list[np.ndarray]]]:
             graph = build_factor_graph(f)
             state = bp_run(graph, nsnet.BpConfig(max_iters=count.BP_ITERS))
             red = forward(graph, bp_reduction_params(), count.BP_ITERS, with_count=True)
-            groups["count_bp"].append([
+            groups["count_bp.bp"].append([
                 state.v2c, state.c2v, np.array([state.iterations_run, state.converged]),
                 np.array([bethe_ln_z(state, graph)]), bp_marginals(state, graph),
-                red.marginals, np.array([red.ln_z]),
             ])
+            groups["count_bp.reduction.marginals"].append([red.marginals])
+            groups["count_bp.reduction.ln_z"].append([np.array([red.ln_z])])
 
         tc = wl.TrainCount(wl.TrainSizes(), seed)
         tc.setup_pass(wl.NULL, 0)
@@ -159,14 +168,14 @@ def compare(parent: Path, change: Path, seeds: str) -> int:
             len(p) != len(c) or any(a.shape != b.shape for a, b in zip(p, c))
             for p, c in zip(p_items, c_items)
         ):
-            print(f"{g:24s} shapes differ")
+            print(f"{g:30s} shapes differ")
             status = 1
         elif digest(p_items) == digest(c_items):
-            print(f"{g:24s} equal ({len(p_items)} items, sha256 {digest(p_items)[:16]})")
+            print(f"{g:30s} equal ({len(p_items)} items, sha256 {digest(p_items)[:16]})")
         else:
             gaps = [relative_gap(p, c) for p, c in zip(p_items, c_items)]
             differ = sum(digest([p]) != digest([c]) for p, c in zip(p_items, c_items))
-            print(f"{g:24s} differs in {differ} of {len(p_items)} items, "
+            print(f"{g:30s} differs in {differ} of {len(p_items)} items, "
                   f"largest relative gap {max(gaps):.3g}")
     return status
 
@@ -184,7 +193,7 @@ def main(argv=None) -> int:
         return compare(*(r.resolve() for r in args.compare), args.seeds)
     groups = collect(args.root.resolve(), parse_seeds(args.seeds))
     for g in GROUPS:
-        print(f"{g:24s} {digest(groups[g])}  ({len(groups[g])} items)")
+        print(f"{g:30s} {digest(groups[g])}  ({len(groups[g])} items)")
     if args.save:
         save(groups, args.save)
     return 0

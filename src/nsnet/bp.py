@@ -18,8 +18,11 @@ other clauses, normalized; c2v is ln(1 - exp(s)) of the clause's other
 literals' summed dissatisfying log probabilities s. The marginals are the
 graph's variable sums and pair log-sum-exp, as in the neural model's
 readout. The Bethe ln Z takes each clause's factor entropy in closed form,
-O(L) for a clause of length L, where the model's readout enumerates the
-clause's 2^L - 1 satisfying rows; the two share the variable terms.
+O(L) for a clause of length L, over the graph's blocks of clauses of one
+length. The model's readout runs over the same blocks, but gives each
+clause 2^L - 1 satisfying rows, one fixed table per length that sets each
+position to its satisfying or dissatisfying slot (``EnumPlan``), since its
+factor beliefs are an MLP of each row; the two share the variable terms.
 
 A run allocates its arrays once: the current and the next messages, and two
 (E, 2) work arrays that the updates' reductions and normalization write

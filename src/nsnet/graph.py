@@ -22,6 +22,12 @@ all-but-self matrix 1 - I_L. Both all-but-self sums are symmetric linear
 maps, so a backward pass calls them on the gradients. Both also normalize
 value pairs through one log-sum-exp, ``logaddexp``.
 
+The clauses are grouped by length once per graph (``_clause_blocks``, unit
+clauses included), and that one grouping carries every per-clause step: the
+clause sums, BP's closed-form Bethe ln Z, and the neural model's factor
+readout, whose 2^L - 1 satisfying rows per clause (``EnumPlan``) are one
+fixed 0/1 table per length laid over each block's slots.
+
 The message loops run every iteration through these reductions, so each
 takes an optional ``out`` (and, where it needs scratch, ``work``) that the
 caller allocates once per call and reuses; without them the reduction
@@ -48,45 +54,75 @@ from .cnf import CnfFormula
 DEFAULT_FACTOR_ENUM_CAP = 10
 
 
+def _row_pattern(L: int) -> np.ndarray:
+    """(L, 2^L - 1) 0/1 table of a clause's satisfying rows: row k satisfies
+    position j exactly when bit j of k + 1 is set, so no row dissatisfies
+    every position and the last row satisfies all of them."""
+    return (np.arange(1, 1 << L) >> np.arange(L)[:, None]) & 1
+
+
 @dataclass(frozen=True)
 class EnumPlan:
-    """Flat index arrays enumerating the satisfying assignments per clause.
+    """The satisfying assignments of every clause, built on the graph's
+    clause blocks.
 
-    Row r is one satisfying assignment of one clause. Its flat elements are
-    the run ``row_flat_start[r]`` up to the next row's start, one per
-    position of the clause; flat element f names slot (e, x), incidence e
-    taking value x in the row, as ``flat_index[f] = 2e + x``, its offset in
-    a C-ordered (E, 2, ...) array. Every clause has at least one row, so
-    sums are ``np.add.reduceat``.
+    Per block of clauses of length L (``FactorGraph._clause_blocks``),
+    ``slots`` holds an (L, c, K) array, K = 2^L - 1: the slot of position j
+    of clause i in its row k, as the offset ``2e + x`` of (incidence e,
+    value x) in a C-ordered (E, 2, ...) array. Row k is column k of
+    :func:`_row_pattern`: the satisfying slot where the pattern is 1, the
+    dissatisfying one where it is 0. Rows are ordered block by block, then
+    clause by clause, then row by row, so each block's rows are a (c, K)
+    run and every per-clause step is a reshape.
     """
 
-    num_rows: int
-    row_clause: np.ndarray  # (R,)  clause index of each row
-    row_start: np.ndarray  # (m+1,) rows of clause a are row_start[a]:row_start[a+1]
-    row_flat_start: np.ndarray  # (R,) first flat element of each row
-    flat_index: np.ndarray  # (F,)  2 * incidence + value
+    slots: list[np.ndarray]
+
+    @property
+    def num_rows(self) -> int:
+        return sum(s[0].size for s in self.slots)
+
+    def _blocks(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Views of per-row values ``rows``, shaped (c, K, ...) per block."""
+        ends = np.cumsum([s[0].size for s in self.slots], dtype=np.int64)
+        return [b.reshape(s.shape[1:] + rows.shape[1:]) for s, b in zip(self.slots, np.split(rows, ends))]
 
     def row_sums(self, x: np.ndarray) -> np.ndarray:
         """(R, ...) sums of (E, 2, ...) slot values ``x`` over each row."""
         slots = x.reshape((-1,) + x.shape[2:])
-        return np.add.reduceat(np.take(slots, self.flat_index, axis=0), self.row_flat_start, axis=0)
+        out = np.empty((self.num_rows,) + x.shape[2:], x.dtype)
+        for s, block in zip(self.slots, self._blocks(out)):
+            np.sum(np.take(slots, s, axis=0), axis=0, out=block)
+        return out
 
     def scatter_rows(self, g: np.ndarray, num_incidences: int) -> np.ndarray:
-        """Adjoint of :meth:`row_sums`: per slot, the sum of ``g`` over its rows."""
-        out = np.zeros((num_incidences, 2) + g.shape[1:], dtype=g.dtype)
-        row_len = np.diff(self.row_flat_start, append=len(self.flat_index))
-        np.add.at(out.reshape((-1,) + g.shape[1:]), self.flat_index, np.repeat(g, row_len, axis=0))
+        """Adjoint of :meth:`row_sums`: per slot, the sum of ``g`` over its
+        rows. A satisfying slot takes its clause's rows through the pattern,
+        the dissatisfying one through its complement; each slot is one
+        position of one block, so plain assignment scatters."""
+        out = np.zeros((2 * num_incidences,) + g.shape[1:], g.dtype)
+        for s, block in zip(self.slots, self._blocks(g)):
+            sat = _row_pattern(len(s)).astype(g.dtype)
+            sat_slot = s[:, :, -1].T  # (c, L), from the all-satisfying last row
+            out[sat_slot] = np.einsum("jk,ck...->cj...", sat, block)
+            out[sat_slot ^ 1] = np.einsum("jk,ck...->cj...", 1 - sat, block)
+        return out.reshape((num_incidences, 2) + g.shape[1:])
+
+    def _per_clause(self, rows: np.ndarray, reduce) -> np.ndarray:
+        """(R,) per row, ``reduce`` of ``rows`` over its clause's rows."""
+        out = np.empty_like(rows)
+        for block, o in zip(self._blocks(rows), self._blocks(out)):
+            o[...] = reduce(block, axis=1, keepdims=True)
         return out
 
     def clause_sums(self, rows: np.ndarray) -> np.ndarray:
-        """(m,) sums of per-row values over each clause."""
-        return np.add.reduceat(rows, self.row_start[:-1])
+        """(R,) per row, the sum of ``rows`` over its clause's rows."""
+        return self._per_clause(rows, np.sum)
 
     def log_normalize(self, rows: np.ndarray) -> np.ndarray:
         """Per-row log values minus their log-sum-exp over the clause."""
-        zmax = np.maximum.reduceat(rows, self.row_start[:-1])
-        shifted = rows - np.take(zmax, self.row_clause)
-        return shifted - np.take(np.log(self.clause_sums(np.exp(shifted))), self.row_clause)
+        shifted = rows - self._per_clause(rows, np.max)
+        return shifted - np.log(self.clause_sums(np.exp(shifted)))
 
 
 @dataclass(frozen=True)
@@ -153,10 +189,12 @@ class FactorGraph:
 
     @cached_property
     def _clause_blocks(self) -> list[np.ndarray]:
-        """Per clause length L >= 2, the (L, clauses) incidence ids."""
+        """Per clause length L, in increasing order, the (L, clauses)
+        incidence ids of the clauses of that length; every incidence is in
+        exactly one block."""
         lens = self.clause_len
         starts = self.clause_start[:-1]
-        return [starts[lens == L] + np.arange(L)[:, None] for L in np.unique(lens[lens > 1])]
+        return [starts[lens == L] + np.arange(L)[:, None] for L in np.unique(lens)]
 
     @cached_property
     def _clause_others(self) -> list[np.ndarray]:
@@ -202,7 +240,6 @@ class FactorGraph:
         if work is None:
             largest = max((slots.size for slots in self._clause_blocks), default=0)
             work = np.empty(2 * largest * row, x.dtype)
-        out[...] = 0  # unit clauses have no other literals
         for slots, others in zip(self._clause_blocks, self._clause_others):
             size = slots.size * row
             block = work[:size].reshape(slots.shape + x.shape[1:])
@@ -213,14 +250,12 @@ class FactorGraph:
         return out
 
     def satisfying_enumeration(self, cap: int = DEFAULT_FACTOR_ENUM_CAP) -> EnumPlan:
-        """Enumeration plan over satisfying clause assignments.
-
-        For a clause of length L the 2^L - 1 satisfying assignments are
-        listed in increasing order of the value code (bit j = value of the
-        clause's j-th literal position), skipping the one all-dissatisfying
-        code. Raises on clauses longer than ``cap`` (2^L blowup guard), on
-        every call: the plan does not depend on the cap, so a graph builds it
-        once and every call that passes the guard returns that one plan.
+        """Enumeration plan over satisfying clause assignments: a clause of
+        length L has the 2^L - 1 rows of :func:`_row_pattern`, whatever its
+        polarities. Raises on clauses longer than ``cap`` (2^L blowup
+        guard), on every call: the plan does not depend on the cap, so a
+        graph builds it once and every call that passes the guard returns
+        that one plan.
         """
         lens = self.clause_len
         if len(lens) and int(lens.max()) > cap:
@@ -231,41 +266,10 @@ class FactorGraph:
 
     @cached_property
     def _enum_plan(self) -> EnumPlan:
-        lens = self.clause_len
-        # rows are listed clause by clause, the flat entries of a row position
-        # by position; the k-th satisfying code of a clause is k, or k + 1 from
-        # its all-dissatisfying code on. Codes are worked out per row, then
-        # spread over the row's flat entries.
-        num_codes = (np.int64(1) << lens) - 1
-        row_start = np.concatenate(([0], np.cumsum(num_codes)))
-        row_clause = np.repeat(np.arange(self.num_clauses), num_codes)
-        row_len = np.repeat(lens, num_codes)
-        row_flat_start = np.cumsum(row_len) - row_len
-        position = np.arange(self.num_incidences) - self.clause_start[self.inc_clause]
-        unsat_code = np.bincount(
-            self.inc_clause, self.unsat_value << position, self.num_clauses
-        ).astype(np.int64)
-        code = np.arange(len(row_clause)) - np.repeat(row_start[:-1], num_codes)
-        code += code >= np.repeat(unsat_code, num_codes)
-        # flat element f of row r: bit = f - row_flat_start[r] is the clause
-        # position, the incidence its clause's first plus bit, the value bit
-        # `bit` of the row's code
-        bit = np.arange(int(row_len.sum()))
-        bit -= np.repeat(row_flat_start, row_len)
-        value = np.repeat(code, row_len)
-        value >>= bit
-        value &= 1
-        flat_index = bit
-        flat_index += np.repeat(np.repeat(self.clause_start[:-1], num_codes), row_len)
-        flat_index *= 2
-        flat_index += value
-        return EnumPlan(
-            num_rows=len(row_clause),
-            row_clause=row_clause,
-            row_start=row_start,
-            row_flat_start=row_flat_start,
-            flat_index=flat_index,
-        )
+        # a position's dissatisfying slot, flipped to the satisfying one where
+        # the row's pattern sets it
+        return EnumPlan([np.take(self.unsat_slot, block)[:, :, None] ^ _row_pattern(len(block))[:, None, :]
+                         for block in self._clause_blocks])
 
 
 def build_factor_graph(formula: CnfFormula) -> FactorGraph:

@@ -349,7 +349,9 @@ class _Tape:
     sv: np.ndarray  # (n, 2, d) variable readout input
     want_count: bool
     plan: EnumPlan | None = None
-    lbf: np.ndarray | None = None  # (R,) factor log beliefs
+    # (R,) factor log beliefs, in the plan's row order: clause length by
+    # clause length, then clause by clause, then row by row
+    lbf: np.ndarray | None = None
     sf: np.ndarray | None = None  # (R, d) factor readout input
     ln_z: np.floating | None = None
 
@@ -642,7 +644,7 @@ def backward(
         )
         dlbf = dlnz * (-np.exp(lbf) * (1.0 + lbf))
         # log-normalization per clause: lbf = rf - LSE(rf over the clause)
-        drf = dlbf - np.exp(lbf) * np.take(plan.clause_sums(dlbf), plan.row_clause)
+        drf = dlbf - np.exp(lbf) * plan.clause_sums(dlbf)
         dsf = params.r_fac.backward(drf[:, None], tape.sf, grads, "r_fac", work)
         dv2c_final = plan.scatter_rows(dsf, E)
 

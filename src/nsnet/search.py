@@ -47,7 +47,11 @@ class SlsResult:
 
 
 def round_marginals(marginals: np.ndarray) -> tuple[int, ...]:
-    """Round b_i(1) to an assignment; exactly 0.5 rounds to 1."""
+    """Round b_i(1) to an assignment; exactly 0.5 rounds to 1. Raises on a
+    value that is not a probability (NaN, infinite, or outside [0, 1])."""
+    bad = np.flatnonzero(np.clip(marginals, 0, 1) != marginals)  # NaN != NaN
+    if len(bad):
+        raise ValueError(f"marginal of variable {bad[0] + 1} is {marginals[bad[0]]}, not in [0, 1]")
     return tuple(int(b >= 0.5) for b in marginals)
 
 

@@ -281,8 +281,11 @@ def looped_build_factor_graph(formula):
 
 
 def looped_enumeration(graph, cap):
-    """Satisfying-assignment plan by a triple loop over clauses, codes and
-    positions; returns the EnumPlan fields as a dict."""
+    """Satisfying-assignment rows by a triple loop over clauses, codes and
+    positions, flat and row by row: a dict of ``num_rows``, each row's
+    clause (``row_clause``), each clause's first row (``row_start``), each
+    row's first flat element (``row_flat_start``) and each flat element's
+    slot ``2e + value`` (``flat_index``)."""
     lens = graph.clause_len
     if len(lens) and int(lens.max()) > cap:
         raise ValueError(f"clause length {int(lens.max())} exceeds enumeration cap {cap}")

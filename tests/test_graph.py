@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -140,24 +142,44 @@ class TestStructureProperties:
         assert np.array_equal(g.sat_value[~touched], h.sat_value[~touched])
 
 
+def plan_rows(graph, plan):
+    """The rows of ``plan`` in its order, each as (clause, its positions' slots)."""
+    rows = []
+    for slots in plan.slots:
+        clauses = graph.inc_clause[slots[0, :, 0] // 2]
+        rows += [(int(a), tuple(slots[:, i, k].tolist()))
+                 for i, a in enumerate(clauses) for k in range(slots.shape[2])]
+    return rows
+
+
+def reference_rows(ref):
+    """The rows of ``helpers.looped_enumeration``'s plan in its order, each
+    as (clause, its positions' slots)."""
+    bounds = np.append(ref["row_flat_start"], len(ref["flat_index"]))
+    return [(int(ref["row_clause"][r]), tuple(ref["flat_index"][bounds[r]: bounds[r + 1]].tolist()))
+            for r in range(ref["num_rows"])]
+
+
 class TestEnumerationPlan:
     def test_rows_per_clause(self):
         g = build_factor_graph(helpers.F0)
         plan = g.satisfying_enumeration(10)
         assert plan.num_rows == 3 + 3 + 7  # 2^L - 1 per clause
-        assert list(np.diff(plan.row_start)) == [3, 3, 7]
+        assert Counter(a for a, _ in plan_rows(g, plan)) == {0: 3, 1: 3, 2: 7}
 
     def test_all_unsat_row_is_excluded(self):
         g = build_factor_graph(CnfFormula(2, ((1, -2),)))
         plan = g.satisfying_enumeration(10)
-        bounds = np.append(plan.row_flat_start, len(plan.flat_index))
-        for r in range(plan.num_rows):
-            slots = plan.flat_index[bounds[r]: bounds[r + 1]]
+        for _, slots in plan_rows(g, plan):
             assert any(
                 x % 2 == g.sat_value[x // 2] for x in slots
             ), "every enumerated row satisfies the clause"
 
     def test_row_sums_equal_explicit_gather(self):
+        # the plan lists a clause's rows in another order than the looped
+        # reference, so rows are matched by their slots; a row sums at most
+        # 6 standard-normal terms in position order, and the two sums agree
+        # within 1e-12 absolute
         rng = np.random.default_rng(6)
         for _ in range(30):
             n = int(rng.integers(4, 12))
@@ -165,10 +187,14 @@ class TestEnumerationPlan:
             ref = helpers.looped_enumeration(g, 10)
             slot, value = ref["flat_index"] // 2, ref["flat_index"] % 2
             plan = g.satisfying_enumeration(10)
+            index = {row: r for r, row in enumerate(reference_rows(ref))}
+            order = [index[row] for row in plan_rows(g, plan)]
             for tail in ((), (3,)):
                 x = rng.standard_normal((g.num_incidences, 2) + tail)
                 want = np.add.reduceat(x[slot, value], ref["row_flat_start"], axis=0)
-                assert np.array_equal(plan.row_sums(x), want)
+                got = plan.row_sums(x)
+                assert got.shape == want.shape
+                assert np.abs(got - want[order]).max(initial=0.0) <= 1e-12
 
     def test_scatter_rows_is_adjoint_of_row_sums(self):
         rng = np.random.default_rng(7)
@@ -207,12 +233,8 @@ class TestEnumerationPlan:
             ref = helpers.looped_enumeration(g, 10)
             plan = g.satisfying_enumeration(10)
             assert plan.num_rows == ref["num_rows"]
-            for name, expected in ref.items():
-                if name == "num_rows":
-                    continue
-                got = getattr(plan, name)
-                assert got.dtype == expected.dtype, name
-                assert np.array_equal(got, expected), name
+            assert all(slots.dtype == np.int64 for slots in plan.slots)
+            assert sorted(plan_rows(g, plan)) == sorted(reference_rows(ref))
 
     def test_every_length_and_polarity(self):
         for length in range(1, 11):
@@ -221,8 +243,7 @@ class TestEnumerationPlan:
                 g = build_factor_graph(CnfFormula(length, (clause,)))
                 ref = helpers.looped_enumeration(g, 10)
                 plan = g.satisfying_enumeration(10)
-                for name in ("row_clause", "row_start", "row_flat_start", "flat_index"):
-                    assert np.array_equal(getattr(plan, name), ref[name]), (length, name)
+                assert sorted(plan_rows(g, plan)) == sorted(reference_rows(ref)), (length, signs)
 
     def test_over_cap_raises_like_reference(self):
         f = CnfFormula(5, ((1, -2), (1, 2, -3, 4, 5)))
@@ -232,6 +253,26 @@ class TestEnumerationPlan:
                 helpers.looped_enumeration(g, cap)
             with pytest.raises(ValueError):
                 g.satisfying_enumeration(cap)
+
+    def test_plan_build_peak_memory(self):
+        # a count_bp-shaped graph: the build's traced peak stays within twice
+        # the index the plan keeps, 8 bytes per position of every row
+        rng = np.random.default_rng(5)
+        n, lengths = 500, [L for L in range(2, 6) for _ in range(300)]
+        clauses = tuple(
+            tuple(int(v) * (1 if rng.random() < 0.5 else -1) for v in rng.choice(n, L, replace=False) + 1)
+            for L in lengths
+        )
+        g = build_factor_graph(CnfFormula(n, clauses))
+        g._clause_blocks  # built once per graph before the plan
+        kept = 8 * sum(L * (2**L - 1) for L in lengths)
+        tracemalloc.start()
+        try:
+            g.satisfying_enumeration()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * kept, peak / kept
 
 
 class TestLogaddexp:

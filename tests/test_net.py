@@ -146,11 +146,18 @@ class TestReduction:
 
 
 def factor_beliefs(graph, params, T):
-    """Per-clause log factor beliefs of the tape-free forward: its ``lbf``
-    split by the enumeration plan's ``row_start``."""
+    """Per-clause log factor beliefs of the tape-free forward: its ``lbf``,
+    whose rows run block by block of the enumeration plan, each block's
+    (clauses, rows) in order, regrouped by clause."""
     tape = net._forward(graph, params, T, want_count=True, keep_tape=False)
-    starts = tape.plan.row_start
-    return [tape.lbf[starts[a]: starts[a + 1]] for a in range(graph.num_clauses)]
+    beliefs, r = [None] * graph.num_clauses, 0
+    for slots in tape.plan.slots:
+        _, c, K = slots.shape
+        for i, a in enumerate(graph.inc_clause[slots[0, :, 0] // 2]):
+            beliefs[a] = tape.lbf[r + i * K: r + (i + 1) * K]
+        r += c * K
+    assert r == len(tape.lbf) and all(b is not None for b in beliefs)
+    return beliefs
 
 
 class TestForward:

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import helpers
-from nsnet import oracle
-from nsnet.cnf import CnfFormula, evaluate
+from nsnet import cli, oracle
+from nsnet.cnf import CnfFormula, emit_dimacs, evaluate
 from nsnet.gen import gen_random_3sat
 from nsnet.search import SlsConfig, SlsResult, round_marginals, sls_solve
 
@@ -20,6 +22,23 @@ class TestRounding:
 
     def test_half_rounds_up(self):
         assert round_marginals(np.array([0.5, 0.5])) == (1, 1)
+
+    def test_non_probabilities_raise(self):
+        for bad in (np.nan, np.inf, 1.7, -0.2, 1.0 + 1e-15, -1e-300):
+            with pytest.raises(ValueError, match=r"variable 2 .* not in \[0, 1\]"):
+                round_marginals(np.array([0.7, bad, 0.2]))
+
+    def test_cli_solve_refuses_a_corrupted_start(self, tmp_path, caplog):
+        formula = tmp_path / "f.cnf"
+        formula.write_text(emit_dimacs(helpers.F0))
+        for bad in (float("nan"), 1.7, -0.2):
+            labels = tmp_path / "m.json"
+            labels.write_text(json.dumps({"marginals": {"1": 0.9, "2": bad, "3": 0.1}}))
+            caplog.clear()
+            code = cli.main(["solve", "--input", str(formula), "--init", "file",
+                             "--labels", str(labels)])
+            assert code == cli.EXIT_RUNTIME
+            assert "marginal of variable 2" in caplog.text
 
 
 class TestSls:
