@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -51,6 +52,32 @@ class TestInit:
             assert np.abs(arr).max() < 10
 
 
+def _set(holder, key, value):
+    holder[key] = value
+
+
+def _swap_rows_cols(layer):
+    layer["rows"], layer["cols"] = layer["cols"], layer["rows"]
+
+
+# edits that make the weight file of init_params(3, 1, hidden=8) malformed
+MALFORMED = {
+    "array missing": lambda doc: doc.pop("h2"),
+    "weights missing": lambda doc: doc["a2"]["layers"][1].pop("w"),
+    "layer without b": lambda doc: doc["a3"]["layers"][2].pop("b"),
+    "first layer missing": lambda doc: doc["a1"]["layers"].pop(0),
+    "last layer missing": lambda doc: doc["r_var"]["layers"].pop(),
+    "extra layer": lambda doc: doc["r_fac"]["layers"].append(doc["r_fac"]["layers"][0]),
+    "value missing": lambda doc: doc["a2"]["layers"][0]["w"].pop(),
+    "value extra": lambda doc: doc["h1"].append(0.5),
+    "rows and cols swapped": lambda doc: _swap_rows_cols(doc["a1"]["layers"][0]),
+    "rows disagree with data": lambda doc: _set(doc["a3"]["layers"][1], "rows", 9),
+    "huge rows": lambda doc: _set(doc["a1"]["layers"][0], "rows", 10**9),
+    "non-numeric value": lambda doc: _set(doc["r_var"]["layers"][0]["w"], 3, "x"),
+    "nested value": lambda doc: _set(doc["h2"], 0, [0.5, 0.5]),
+}
+
+
 class TestSaveLoad:
     def test_bitwise_round_trip(self, tmp_path):
         p = init_params(5, seed=1)
@@ -100,6 +127,29 @@ class TestSaveLoad:
         save_params(p, path)
         doc = json.loads(path.read_text())
         doc["version"] = 99
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParamsFormatError):
+            load_params(path)
+
+    def test_file_bytes_and_loaded_arrays_are_pinned(self, tmp_path):
+        # the digests are of the file and of the arrays read back from it
+        # when they were first recorded
+        path = tmp_path / "w.json"
+        save_params(init_params(3, 1, hidden=8), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "aaab4370d453f9470e11596ef9d9846c43eac6fa6341abbfac7b8bcb7f2a7ce9")
+        h = hashlib.sha256()
+        for name, arr in load_params(path).param_items():
+            h.update(f"{name}{arr.dtype.str}{arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == "9d0ffb13171bcd1cf38e7baf4a25ca2c4ff30336d05d53477d18754a9ac15244"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_is_format_error(self, tmp_path, case):
+        path = tmp_path / "w.json"
+        save_params(init_params(3, 1, hidden=8), path)
+        doc = json.loads(path.read_text())
+        MALFORMED[case](doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ParamsFormatError):
             load_params(path)
