@@ -18,7 +18,10 @@ the timed rounds see them), these groups of outputs:
 - ``train_count.batch_loss``: ``train.batch_loss`` of every batch at the
   initial weights;
 - ``train_count.grad``: ``train.grad``'s loss and gradients on each batch
-  in turn, each followed by the ``train.adam_step`` the workload takes.
+  in turn, each followed by the ``train.adam_step`` the workload takes;
+- ``train_count.weights``: the bytes of the ``save_params`` file of the
+  weights after those steps, one item per seed. ``load_params`` must give
+  the weights back bit for bit, or the script exits with an error.
 
 Without ``--compare`` it prints one digest per group for the checkout given
 by ``--root`` (this one by default), imported from its ``src/`` and
@@ -48,7 +51,7 @@ import numpy as np  # noqa: E402
 GROUPS = (
     "sat_nsnet_sls.marginals", "sat_nsnet_sls.ln_z",
     "count_bp.bp", "count_bp.reduction.marginals", "count_bp.reduction.ln_z",
-    "train_count.batch_loss", "train_count.grad",
+    "train_count.batch_loss", "train_count.grad", "train_count.weights",
 )
 
 
@@ -74,6 +77,8 @@ def collect(root: Path, seeds: list[int]) -> dict[str, list[list[np.ndarray]]]:
         bp_run,
         build_factor_graph,
         forward,
+        load_params,
+        save_params,
         train,
     )
 
@@ -112,6 +117,14 @@ def collect(root: Path, seeds: list[int]) -> dict[str, list[list[np.ndarray]]]:
             step = [np.array([loss])] + [grads[k] for k in sorted(grads)]
             groups["train_count.grad"].append(step)
             params, state = train.adam_step(params, grads, state, tc.config)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "weights.json"
+            save_params(params, path)
+            back = load_params(path)
+            groups["train_count.weights"].append([np.frombuffer(path.read_bytes(), np.uint8)])
+        for (name, a), (back_name, b) in zip(params.param_items(), back.param_items()):
+            if (name, a.dtype, a.shape, a.tobytes()) != (back_name, b.dtype, b.shape, b.tobytes()):
+                raise SystemExit(f"seed {seed}: load_params changed {name} of the saved weights")
     return groups
 
 

@@ -3,8 +3,13 @@
 Every subcommand emits JSON on stdout and logs on stderr, so pipelines
 compose. Reports are reproducible byte-for-byte from (inputs, flags, seed);
 wall-clock timing is therefore opt-in via --timing and kept in a separate
-report section. Exit codes: 0 success, 1 usage error, 2 runtime error,
-10 model found (solve only).
+report section. Reports, manifests and label files are strict JSON: a
+training loss that is absent or not finite is null, a counting estimate
+that is not finite makes its row a failure, and any other value that is not
+finite exits 2 instead of writing NaN or Infinity. A label file that lacks
+its task's label, or whose label is not finite probabilities or a finite
+ln count >= 0, exits 2. Exit codes: 0 success, 1 usage error, 2 runtime
+error, 10 model found (solve only).
 
 Set NSNET_LOG=debug|info|warning to control stderr verbosity.
 """
@@ -36,16 +41,17 @@ EXIT_RUNTIME = 2
 EXIT_SAT = 10
 
 
-def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def _write_report(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
+def _write_json(doc: dict, path: str | None = None, indent: int | None = None,
+                echo: bool = True) -> None:
+    """``doc`` as strict JSON with sorted keys and a final newline, written
+    to the file ``path`` when given and, with ``echo``, to stdout. A value
+    that is not finite raises ``ValueError`` before anything is written."""
+    text = json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False) + "\n"
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
-    sys.stdout.write(text)
+    if echo:
+        sys.stdout.write(text)
 
 
 def _marginals_to_dict(marginals: np.ndarray) -> dict[str, float]:
@@ -75,19 +81,32 @@ def _label_path(labels_dir: str, cnf_name: str) -> str:
     return os.path.join(labels_dir, cnf_name[:-4] + ".json")
 
 
-def _read_marginals(path: str, num_vars: int) -> np.ndarray | None:
-    """b_i(1) for variables 1..``num_vars`` from the marginal file at
-    ``path``; None for the null label of an unsatisfiable formula."""
-    with open(path) as fh:
-        marginals = json.load(fh)["marginals"]
-    if marginals is None:
-        return None
-    return np.array([marginals[str(v)] for v in range(1, num_vars + 1)])
-
-
-def _read_ln_count(path: str) -> float | None:
-    with open(path) as fh:
-        return json.load(fh).get("ln_count")
+def _read_label(path: str, task: str, num_vars: int) -> np.ndarray | float | None:
+    """The ``task`` label of the label file at ``path``: b_i(1) for
+    variables 1..``num_vars`` as an array, the ln count as a float, or None
+    for the null label of an unsatisfiable formula. Raises, naming the file,
+    when the file lacks the label or it is not finite probabilities or a
+    finite ln count >= 0."""
+    key = _LABEL_KEY[task]
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if key not in doc:
+            raise ValueError(f"no {key} label")
+        label = doc[key]
+        if label is None:
+            return None
+        if task == "counting":
+            if not (math.isfinite(label) and label >= 0):
+                raise ValueError(f"ln_count {label} is not a finite ln count >= 0")
+            return float(label)
+        marginals = np.array([label[str(v)] for v in range(1, num_vars + 1)], dtype=float)
+        bad = np.flatnonzero(np.clip(marginals, 0, 1) != marginals)  # NaN != NaN
+        if len(bad):
+            raise ValueError(f"marginal of variable {bad[0] + 1} is {marginals[bad[0]]}, not in [0, 1]")
+        return marginals
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RuntimeError(f"{path}: {exc}") from exc
 
 
 # ----------------------------------------------------------------- gen
@@ -136,9 +155,8 @@ def cmd_gen(args) -> int:
         "count": args.count,
         "instances": instances,
     }
-    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    _emit({"generated": produced, "out": args.out})
+    _write_json(manifest, os.path.join(args.out, "manifest.json"), indent=2, echo=False)
+    _write_json({"generated": produced, "out": args.out})
     return EXIT_OK
 
 
@@ -157,11 +175,9 @@ def cmd_label(args) -> int:
             label = None
         if label is None:
             log.warning("%s is unsatisfiable; %s label is null", name, _LABEL_KEY[args.task])
-        doc = {_LABEL_KEY[args.task]: label}
-        with open(_label_path(args.out, name), "w") as fh:
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        _write_json({_LABEL_KEY[args.task]: label}, _label_path(args.out, name), echo=False)
         written += 1
-    _emit({"labeled": written, "task": args.task, "out": args.out})
+    _write_json({"labeled": written, "task": args.task, "out": args.out})
     return EXIT_OK
 
 
@@ -180,7 +196,7 @@ def cmd_bp(args) -> int:
         "converged": state.converged,
         "iterations": state.iterations_run,
     }
-    _emit(doc)
+    _write_json(doc)
     return EXIT_OK
 
 
@@ -221,7 +237,7 @@ def cmd_infer(args) -> int:
     doc: dict = {"marginals": _marginals_to_dict(marginals)}
     if with_count:
         doc["ln_z"] = ln_z
-    _emit(doc)
+    _write_json(doc)
     return EXIT_OK
 
 
@@ -236,7 +252,7 @@ def cmd_count(args) -> int:
     }
     if args.marginals and result.model_count > 0:
         doc["marginals"] = _marginals_to_dict(oracle.exact_marginals(formula))
-    _emit(doc)
+    _write_json(doc)
     return EXIT_OK
 
 
@@ -246,12 +262,7 @@ def _load_labeled(data_dir: str, labels_dir: str, task: str) -> list[train.Label
     instances = []
     for name in _dataset_files(data_dir):
         formula = _load_formula(os.path.join(data_dir, name))
-        path = _label_path(labels_dir, name)
-        if task == "marginals":
-            label = _read_marginals(path, formula.num_vars)
-        else:
-            label = _read_ln_count(path)
-            label = None if label is None else float(label)
+        label = _read_label(_label_path(labels_dir, name), task, formula.num_vars)
         if label is None:
             log.warning("skipping %s: null %s label", name, _LABEL_KEY[task])
         else:
@@ -279,12 +290,13 @@ def cmd_train(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "train_loss", "val_loss"])
             writer.writerows(history)
-    final = history[-1] if history else (0, math.nan, math.nan)
-    _emit(
+    final = history[-1][1:] if history else (math.nan, math.nan)
+    train_loss, val_loss = (loss if math.isfinite(loss) else None for loss in final)
+    _write_json(
         {
             "epochs_run": len(history),
-            "final_train_loss": final[1],
-            "final_val_loss": final[2],
+            "final_train_loss": train_loss,
+            "final_val_loss": val_loss,
             "weights": args.out,
         }
     )
@@ -300,7 +312,7 @@ def _initial_assignment(formula, init: str, iters: int, params=None, labels=None
     if init == "random":
         return None
     if init == "file":
-        marginals = _read_marginals(labels, formula.num_vars)
+        marginals = _read_label(labels, "marginals", formula.num_vars)
         if marginals is None:
             raise RuntimeError(f"{labels}: null marginals label (unsatisfiable formula)")
     else:
@@ -326,7 +338,7 @@ def cmd_solve(args) -> int:
         max_tries=args.tries, max_flips=args.max_flips, noise=args.noise, seed=args.seed
     )
     result = search.sls_solve(formula, config, initial)
-    _emit(
+    _write_json(
         {
             "solved": result.solved,
             "assignment": list(result.assignment) if result.assignment else None,
@@ -354,7 +366,7 @@ def _eval_rows(row_fn, args, params) -> list:
 
 def _eval_count_row(args, params, name):
     formula = _load_formula(os.path.join(args.data, name))
-    truth = _read_ln_count(_label_path(args.labels, name))
+    truth = _read_label(_label_path(args.labels, name), "counting", formula.num_vars)
     row: dict = {"id": name[:-4], "truth": truth}
     if truth is None:
         row["error"] = "missing ln_count label"
@@ -362,6 +374,8 @@ def _eval_count_row(args, params, name):
     started = time.perf_counter()
     try:
         _, pred = _estimate(formula, params, args.iters, with_count=True)
+        if not math.isfinite(pred):
+            raise ValueError(f"ln Z estimate is {pred}")
     except Exception as exc:
         row["error"] = str(exc)
         return row, math.nan
@@ -398,7 +412,7 @@ def cmd_eval_count(args) -> int:
     if args.timing:
         finite = [t for t in times if not math.isnan(t)]
         report["timing"] = {"mean_seconds_per_instance": _mean(finite)}
-    _write_report(report, args.out)
+    _write_json(report, args.out, indent=2)
     return EXIT_OK
 
 
@@ -474,7 +488,7 @@ def cmd_eval_solve(args) -> int:
         },
         "rows": rows,
     }
-    _write_report(report, args.out)
+    _write_json(report, args.out, indent=2)
     return EXIT_OK
 
 

@@ -150,17 +150,25 @@ class Mlp:
             self._apply_block(x[lo:hi], scratch, out[lo:hi])
         return out
 
-    def _apply_block(self, x: np.ndarray, scratch: list | None, out: np.ndarray | None):
+    def _hidden_layers(self, x: np.ndarray, bufs: list | None):
+        """Yield the hidden layers (matmul, bias, ReLU) computed from ``x``,
+        in order. Layer i is written into ``bufs[i % len(bufs)]``, or into a
+        fresh array without ``bufs``; a caller that keeps only the last
+        layer yielded holds at most two fresh ones at a time."""
         rows = x.shape[0]
         for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-            if scratch is None:
-                z = x @ w.T
-            else:
-                z = scratch[i % 2][: rows * w.shape[0]].reshape(rows, w.shape[0])
-                np.matmul(x, w.T, out=z)
-            z += b
-            np.maximum(z, 0.0, out=z)
-            x = z
+            z = None
+            if bufs is not None:
+                z = bufs[i % len(bufs)][: rows * w.shape[0]].reshape(rows, w.shape[0])
+            x = np.matmul(x, w.T, out=z)
+            x += b
+            np.maximum(x, 0.0, out=x)
+            yield x
+
+    def _apply_block(self, x: np.ndarray, scratch: list | None, out: np.ndarray | None):
+        # A2's scratch list has a third buffer, which a block's layer need not fit
+        for x in self._hidden_layers(x, None if scratch is None else scratch[:2]):
+            pass
         out = np.matmul(x, self.weights[-1].T, out=out)
         out += self.biases[-1]
         return out
@@ -184,15 +192,8 @@ class Mlp:
         return out
 
     def _backward_block(self, dy, x, grads, name: str, work: list, out: np.ndarray) -> None:
-        rows = x.shape[0]
         mask_buf = work[-1]
-        layers = [x]
-        for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-            z = work[i][: rows * w.shape[0]].reshape(rows, w.shape[0])
-            np.matmul(layers[-1], w.T, out=z)
-            z += b
-            np.maximum(z, 0.0, out=z)
-            layers.append(z)
+        layers = [x, *self._hidden_layers(x, work)]
         dz = dy
         for layer in range(len(self.weights) - 1, 0, -1):
             h = layers[layer]
@@ -727,37 +728,30 @@ def backward(
     return grads
 
 
+def _values(doc: dict, name: str) -> list:
+    """The list that holds array ``name`` of :meth:`ModelParams.param_items`
+    in a weight file's document: ``"h1"`` is ``doc["h1"]``, ``"a1.w0"`` is
+    ``doc["a1"]["layers"][0]["w"]``."""
+    net_name, _, array = name.partition(".")
+    if not array:
+        return doc[name]
+    return doc[net_name]["layers"][int(array[1:])][array[0]]
+
+
 def save_params(params: ModelParams, path) -> None:
     """Versioned JSON weight file; floats round-trip losslessly via repr.
 
     Only learned weights are saved: a network that is not an :class:`Mlp`
     (the BP-reduction configuration) raises ``ValueError``.
     """
-
-    def encode(name: str, net: Net):
+    doc = {"version": PARAMS_FORMAT_VERSION, "d": params.d, "h1": [], "h2": []}
+    for name, net in params.nets():
         if not isinstance(net, Mlp):
             raise ValueError(f"{name}: only MLP networks are saved, not {type(net).__name__}")
-        return {
-            "kind": "mlp",
-            "layers": [
-                {
-                    "rows": int(w.shape[0]),
-                    "cols": int(w.shape[1]),
-                    "w": [float(x) for x in w.ravel()],
-                    "b": [float(x) for x in b],
-                }
-                for w, b in zip(net.weights, net.biases)
-            ],
-        }
-
-    doc = {
-        "version": PARAMS_FORMAT_VERSION,
-        "d": params.d,
-        "h1": [float(x) for x in params.h1],
-        "h2": [float(x) for x in params.h2],
-    }
-    for name, net in params.nets():
-        doc[name] = encode(name, net)
+        layers = [{"rows": w.shape[0], "cols": w.shape[1], "w": [], "b": []} for w in net.weights]
+        doc[name] = {"kind": "mlp", "layers": layers}
+    for name, arr in params.param_items():
+        _values(doc, name).extend(arr.ravel().tolist())
     with open(path, "w") as fh:
         json.dump(doc, fh)
 
@@ -765,52 +759,50 @@ def save_params(params: ModelParams, path) -> None:
 def load_params(path) -> ModelParams:
     """Load a weight file written by :func:`save_params`.
 
-    Raises :class:`ParamsFormatError` on version mismatch, shape mismatch,
-    or a corrupted file.
+    Accepts the layout of ``init_params(d, seed, hidden)`` for any seed:
+    version ``PARAMS_FORMAT_VERSION``; ``d``; ``h1`` and ``h2`` of d values;
+    and per network of ``NETS`` the kind ``"mlp"`` and
+    ``N_HIDDEN_LAYERS`` + 1 layers, the hidden ones all ``hidden`` wide
+    (the rows of A1's first layer). Each layer's ``rows`` and ``cols`` must
+    be its weight's shape in that layout, and every array must hold exactly
+    its number of numbers (JSON's NaN and Infinity among them). Anything
+    else raises :class:`ParamsFormatError`, which names the array or
+    network at fault.
     """
+    where = "document"
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParamsFormatError(f"corrupted weight file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != PARAMS_FORMAT_VERSION:
-        raise ParamsFormatError(
-            f"unsupported weight file version {doc.get('version') if isinstance(doc, dict) else None!r}"
-        )
-
-    def decode(entry, in_dim: int, out_dim: int, name: str) -> Mlp:
-        kind = entry.get("kind")
-        if kind != "mlp":
-            raise ParamsFormatError(f"{name}: unknown network kind {kind!r}")
-        weights, biases = [], []
-        for layer in entry["layers"]:
-            rows, cols = int(layer["rows"]), int(layer["cols"])
-            w = np.asarray(layer["w"], dtype=float)
-            b = np.asarray(layer["b"], dtype=float)
-            if w.size != rows * cols or b.size != rows:
-                raise ParamsFormatError(f"{name}: layer data does not match shape")
-            weights.append(w.reshape(rows, cols))
-            biases.append(b)
-        try:
-            mlp = Mlp(weights, biases)
-        except ValueError as exc:
-            raise ParamsFormatError(f"{name}: {exc}") from exc
-        if mlp.in_dim != in_dim or mlp.out_dim != out_dim:
-            raise ParamsFormatError(
-                f"{name}: expected {in_dim}->{out_dim}, file has "
-                f"{mlp.in_dim}->{mlp.out_dim}"
-            )
-        return mlp
-
-    try:
-        d = int(doc["d"])
-        h1 = np.asarray(doc["h1"], dtype=float)
-        h2 = np.asarray(doc["h2"], dtype=float)
-        if h1.shape != (d,) or h2.shape != (d,):
-            raise ParamsFormatError("h1/h2 length does not match d")
-        nets = [decode(doc[name], i, o, name) for name, (i, o) in zip(NETS, _net_dims(d))]
-        return ModelParams(d, h1, h2, *nets)
+            text = fh.read()
+        doc = json.loads(text)
+        if doc["version"] != PARAMS_FORMAT_VERSION:
+            raise ParamsFormatError(f"unsupported weight file version {doc['version']!r}")
+        for where in NETS:
+            if doc[where]["kind"] != "mlp":
+                raise ParamsFormatError(f"{where}: unknown network kind {doc[where]['kind']!r}")
+        where = "a1.w0"
+        d, hidden = int(doc["d"]), int(doc["a1"]["layers"][0]["rows"])
+        # h1 and A1's first two layers hold (hidden + 1) * (hidden + d) values,
+        # each at least two characters of the file: refuse a layout the file
+        # cannot fill before allocating it
+        if 2 * (hidden + 1) * (hidden + d) > len(text):
+            raise ParamsFormatError(f"d = {d} and hidden width {hidden} exceed the file")
+        params = init_params(d, 0, hidden)
+        for where, net in params.nets():
+            layers = doc[where]["layers"]
+            if len(layers) != len(net.weights):
+                raise ParamsFormatError(f"{where}: {len(layers)} layers, expected {len(net.weights)}")
+            for i, (layer, w) in enumerate(zip(layers, net.weights)):
+                if (layer["rows"], layer["cols"]) != w.shape:
+                    raise ParamsFormatError(f"{where}.w{i}: declared {layer['rows']}x{layer['cols']}, "
+                                            f"expected {w.shape[0]}x{w.shape[1]}")
+        for where, arr in params.param_items():
+            values = np.array(_values(doc, where))
+            if values.dtype.kind not in "fi" or values.shape != (arr.size,):
+                raise ParamsFormatError(f"{where}: {values.size} values of dtype {values.dtype}, "
+                                        f"expected {arr.size} numbers")
+            arr[...] = values.reshape(arr.shape)
+        return params
     except ParamsFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParamsFormatError(f"corrupted weight file: {exc}") from exc
+    except (KeyError, IndexError, TypeError, ValueError) as exc:  # JSON's errors among them
+        raise ParamsFormatError(f"corrupted weight file, {where}: {exc!r}") from exc

@@ -303,6 +303,4 @@ def train_loop(
             best_params = params
         if stop:
             break
-    if not history:
-        return params, history
     return (best_params if val else params), history

@@ -392,3 +392,75 @@ def test_every_option_is_read():
         for action in parser._actions:
             if not isinstance(action, argparse._HelpAction):
                 assert action.dest in read, f"nsnet {command}: --{action.dest} is never read"
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    def test_train_reports_null_for_an_absent_loss(self, tmp_path, capsys):
+        # two formulas leave no validation split; no epoch leaves no loss
+        data = write_dataset(tmp_path, sr_formulas(2))
+        labels = tmp_path / "labels"
+        assert run_cli(capsys, ["label", "--data", data, "--task", "counting", "--out", labels])[0] == 0
+        base = ["train", "--data", data, "--labels", labels, "--task", "counting", "--d", "4",
+                "--iters", "2", "--out", tmp_path / "w.json"]
+        code, out = run_cli(capsys, base + ["--max-steps", "1"])
+        doc = strict_json(out)
+        assert code == cli.EXIT_OK and doc["epochs_run"] == 1
+        assert isinstance(doc["final_train_loss"], float) and doc["final_val_loss"] is None
+        code, out = run_cli(capsys, base + ["--epochs", "0"])
+        doc = strict_json(out)
+        assert code == cli.EXIT_OK and doc["epochs_run"] == 0
+        assert doc["final_train_loss"] is None and doc["final_val_loss"] is None
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverged_estimate_is_a_failed_row(self, tmp_path, capsys):
+        data = write_dataset(tmp_path, sr_formulas(3))
+        labels = tmp_path / "labels"
+        assert run_cli(capsys, ["label", "--data", data, "--task", "counting", "--out", labels])[0] == 0
+        params = net.init_params(4, 0)
+        params.r_fac.weights[-1][...] = 1e308  # the factor readout overflows: ln Z is NaN
+        weights = tmp_path / "w.json"
+        net.save_params(params, weights)
+        code, out = run_cli(capsys, ["eval", "--task", "counting", "--data", data, "--labels", labels,
+                                     "--estimator", "model", "--model", weights, "--iters", "2"])
+        report = strict_json(out)
+        assert code == cli.EXIT_OK
+        assert report["failures"] == 3 and report["rmse"] is None
+        assert all("pred" not in r and r["error"] == "ln Z estimate is nan" for r in report["rows"])
+        # a report with no failure row to hold the value exits 2 and prints nothing
+        code, out = run_cli(capsys, ["infer", "--input", data / "0000.cnf", "--model", weights,
+                                     "--iters", "2"])
+        assert code == cli.EXIT_RUNTIME and out == ""
+
+
+@pytest.mark.parametrize("task, doc, message", [
+    ("marginals", {"marginals": {"1": 0.9, "2": float("nan"), "3": 0.1}},
+     "marginal of variable 2 is nan, not in [0, 1]"),
+    ("marginals", {"ln_count": 1.0}, "no marginals label"),
+    ("counting", {"ln_count": float("nan")}, "ln_count nan is not a finite ln count >= 0"),
+    ("counting", {"ln_count": -0.5}, "ln_count -0.5 is not a finite ln count >= 0"),
+    ("counting", {"marginals": None}, "no ln_count label"),
+])
+def test_corrupt_label_is_refused(tmp_path, capsys, caplog, task, doc, message):
+    data = write_dataset(tmp_path, [helpers.F0])
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    (labels / "0000.json").write_text(json.dumps(doc))
+    commands = [["train", "--data", data, "--labels", labels, "--task", task, "--d", "4",
+                 "--iters", "2", "--out", tmp_path / "w.json"]]
+    if task == "counting":
+        commands.append(["eval", "--task", "counting", "--data", data, "--labels", labels])
+    for argv in commands:
+        caplog.clear()
+        assert run_cli(capsys, argv) == (cli.EXIT_RUNTIME, "")
+        assert f"{labels / '0000.json'}: {message}" in caplog.text
+    assert not (tmp_path / "w.json").exists()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -60,21 +61,25 @@ def _swap_rows_cols(layer):
     layer["rows"], layer["cols"] = layer["cols"], layer["rows"]
 
 
-# edits that make the weight file of init_params(3, 1, hidden=8) malformed
+# edits that make the weight file of init_params(3, 1, hidden=8) malformed,
+# each with the array or network its error names
 MALFORMED = {
-    "array missing": lambda doc: doc.pop("h2"),
-    "weights missing": lambda doc: doc["a2"]["layers"][1].pop("w"),
-    "layer without b": lambda doc: doc["a3"]["layers"][2].pop("b"),
-    "first layer missing": lambda doc: doc["a1"]["layers"].pop(0),
-    "last layer missing": lambda doc: doc["r_var"]["layers"].pop(),
-    "extra layer": lambda doc: doc["r_fac"]["layers"].append(doc["r_fac"]["layers"][0]),
-    "value missing": lambda doc: doc["a2"]["layers"][0]["w"].pop(),
-    "value extra": lambda doc: doc["h1"].append(0.5),
-    "rows and cols swapped": lambda doc: _swap_rows_cols(doc["a1"]["layers"][0]),
-    "rows disagree with data": lambda doc: _set(doc["a3"]["layers"][1], "rows", 9),
-    "huge rows": lambda doc: _set(doc["a1"]["layers"][0], "rows", 10**9),
-    "non-numeric value": lambda doc: _set(doc["r_var"]["layers"][0]["w"], 3, "x"),
-    "nested value": lambda doc: _set(doc["h2"], 0, [0.5, 0.5]),
+    "array missing": ("h2", lambda doc: doc.pop("h2")),
+    "weights missing": ("a2.w1", lambda doc: doc["a2"]["layers"][1].pop("w")),
+    "layer without b": ("a3.b2", lambda doc: doc["a3"]["layers"][2].pop("b")),
+    "first layer missing": ("a1", lambda doc: doc["a1"]["layers"].pop(0)),
+    "middle layer missing": ("a2", lambda doc: doc["a2"]["layers"].pop(1)),
+    "last layer missing": ("r_var", lambda doc: doc["r_var"]["layers"].pop()),
+    "extra layer": ("r_fac", lambda doc: doc["r_fac"]["layers"].append(doc["r_fac"]["layers"][0])),
+    "value missing": ("a2.w0", lambda doc: doc["a2"]["layers"][0]["w"].pop()),
+    "value extra": ("h1", lambda doc: doc["h1"].append(0.5)),
+    "rows and cols swapped": ("a1.w0", lambda doc: _swap_rows_cols(doc["a1"]["layers"][0])),
+    "rows disagree with data": ("a3.w1", lambda doc: _set(doc["a3"]["layers"][1], "rows", 9)),
+    "huge rows": ("hidden width 1000000000",
+                  lambda doc: _set(doc["a1"]["layers"][0], "rows", 10**9)),
+    "non-numeric value": ("r_var.w0", lambda doc: _set(doc["r_var"]["layers"][0]["w"], 3, "x")),
+    "null value": ("a1.b1", lambda doc: _set(doc["a1"]["layers"][1]["b"], 2, None)),
+    "nested value": ("h2", lambda doc: _set(doc["h2"], 0, [0.5, 0.5])),
 }
 
 
@@ -146,12 +151,23 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_file_is_format_error(self, tmp_path, case):
+        where, edit = MALFORMED[case]
         path = tmp_path / "w.json"
         save_params(init_params(3, 1, hidden=8), path)
         doc = json.loads(path.read_text())
-        MALFORMED[case](doc)
+        edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParamsFormatError):
+        with pytest.raises(ParamsFormatError, match=re.escape(where)):
+            load_params(path)
+
+    def test_hidden_widths_must_be_one(self, tmp_path):
+        # init_params gives every network one hidden width; a file that
+        # mixes widths chains, but is not a layout init_params makes
+        p = init_params(3, 1, hidden=8)
+        p.a3 = init_params(3, 1, hidden=4).a3
+        path = tmp_path / "w.json"
+        save_params(p, path)
+        with pytest.raises(ParamsFormatError, match="a3.w0: declared 4x3, expected 8x3"):
             load_params(path)
 
 
