@@ -15,6 +15,10 @@ the timed rounds see them), these groups of outputs:
 - ``count_bp.reduction.marginals`` and ``count_bp.reduction.ln_z``: per
   formula, the marginals and the ln Z of the reduction-mode ``forward``
   (``bp_reduction_params()``, with count);
+- ``count_bp.model``: per formula, the factor log beliefs ``lbf`` and the
+  ln Z of the tape-free model forward with ``init_params(16, 0)`` and T = 2,
+  which sums every satisfying row of clauses of length 2-5 over 16
+  embedding coordinates;
 - ``train_count.batch_loss``: ``train.batch_loss`` of every batch at the
   initial weights;
 - ``train_count.grad``: ``train.grad``'s loss and gradients on each batch
@@ -50,7 +54,7 @@ import numpy as np  # noqa: E402
 
 GROUPS = (
     "sat_nsnet_sls.marginals", "sat_nsnet_sls.ln_z",
-    "count_bp.bp", "count_bp.reduction.marginals", "count_bp.reduction.ln_z",
+    "count_bp.bp", "count_bp.reduction.marginals", "count_bp.reduction.ln_z", "count_bp.model",
     "train_count.batch_loss", "train_count.grad", "train_count.weights",
 )
 
@@ -77,7 +81,9 @@ def collect(root: Path, seeds: list[int]) -> dict[str, list[list[np.ndarray]]]:
         bp_run,
         build_factor_graph,
         forward,
+        init_params,
         load_params,
+        net,
         save_params,
         train,
     )
@@ -85,6 +91,7 @@ def collect(root: Path, seeds: list[int]) -> dict[str, list[list[np.ndarray]]]:
     if Path(nsnet.__file__).resolve().parent.parent != (root / "src").resolve():
         raise SystemExit(f"nsnet was imported from {nsnet.__file__}, not {root / 'src'}")
     groups: dict[str, list[list[np.ndarray]]] = {g: [] for g in GROUPS}
+    model = init_params(16, 0)
     for seed in seeds:
         sat = wl.SatNsnetSls(wl.SatSizes(), seed)
         sat.setup_pass(wl.NULL, 0)
@@ -105,6 +112,8 @@ def collect(root: Path, seeds: list[int]) -> dict[str, list[list[np.ndarray]]]:
             ])
             groups["count_bp.reduction.marginals"].append([red.marginals])
             groups["count_bp.reduction.ln_z"].append([np.array([red.ln_z])])
+            tape = net._forward(graph, model, 2, want_count=True, keep_tape=False)
+            groups["count_bp.model"].append([tape.lbf, np.array([tape.ln_z])])
 
         tc = wl.TrainCount(wl.TrainSizes(), seed)
         tc.setup_pass(wl.NULL, 0)
