@@ -19,10 +19,12 @@ literals' summed dissatisfying log probabilities s. The marginals are the
 graph's variable sums and pair log-sum-exp, as in the neural model's
 readout. The Bethe ln Z takes each clause's factor entropy in closed form,
 O(L) for a clause of length L, over the graph's blocks of clauses of one
-length. The model's readout runs over the same blocks, but gives each
-clause 2^L - 1 satisfying rows, one fixed table per length that sets each
-position to its satisfying or dissatisfying slot (``EnumPlan``), since its
-factor beliefs are an MLP of each row; the two share the variable terms.
+length and their dissatisfying slots. The model's readout runs over the
+same blocks and slots, but gives each clause 2^L - 1 satisfying rows, one
+fixed table per length that sets each position to its satisfying or
+dissatisfying slot as the rows are summed (``EnumPlan``, which stores no
+row), since its factor beliefs are an MLP of each row; the two share the
+variable terms.
 
 A run allocates its arrays once: the current and the next messages, and two
 (E, 2) work arrays that the updates' reductions and normalization write
@@ -88,7 +90,9 @@ def _normalize_pairs(raw: np.ndarray, work: np.ndarray | None = None) -> np.ndar
     """
     z, larger = (None, None) if work is None else work
     z = logaddexp(raw[:, 0], raw[:, 1], out=z, work=larger)
-    raw -= z[:, None]
+    # two column subtracts; broadcasting z over the pairs runs slower
+    raw[:, 0] -= z
+    raw[:, 1] -= z
     degenerate = z < SATURATION
     if degenerate.any():
         raw[degenerate] = LOG_HALF
@@ -141,7 +145,7 @@ def _c2v_update(
     Unit clauses get the empty sum 0, hence log-zero.
     """
     if out is None:
-        out = np.empty_like(v2c)
+        out = np.empty(v2c.shape, v2c.dtype)
     if work is None:
         work = np.empty((2,) + v2c.shape, v2c.dtype)
     unsat = graph.unsat_slot
@@ -153,7 +157,7 @@ def _c2v_update(
         unsat_msg = log1mexp(s_excl, out=s_excl)
     np.putmask(unsat_msg, saturated, LOG_ZERO)
     out[...] = 0
-    np.put(out, unsat, _saturate(unsat_msg))
+    out.reshape(-1)[unsat] = _saturate(unsat_msg)  # a view: out is C-ordered
     return out
 
 
@@ -248,8 +252,7 @@ def bethe_ln_z(state: BpState, graph: FactorGraph) -> float:
     """
     v2c = state.v2c
     entropy = 0.0
-    for slots in graph._clause_blocks:
-        unsat = np.take(graph.unsat_slot, slots)  # (L, clauses)
+    for unsat in graph._unsat_blocks:  # (L, clauses) each
         lu, ln_p = np.take(v2c, unsat), np.take(v2c, unsat ^ 1)
         h = np.exp(lu) * lu + np.exp(ln_p) * ln_p
         later = np.zeros_like(h)

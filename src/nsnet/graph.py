@@ -25,8 +25,10 @@ value pairs through one log-sum-exp, ``logaddexp``.
 The clauses are grouped by length once per graph (``_clause_blocks``, unit
 clauses included), and that one grouping carries every per-clause step: the
 clause sums, BP's closed-form Bethe ln Z, and the neural model's factor
-readout, whose 2^L - 1 satisfying rows per clause (``EnumPlan``) are one
-fixed 0/1 table per length laid over each block's slots.
+readout. The last two read each block's dissatisfying slots
+(``_unsat_blocks``), one integer per incidence. The readout's 2^L - 1
+satisfying rows per clause (``EnumPlan``) are one fixed 0/1 table per length
+laid over those slots when the rows are used, so no row index is stored.
 
 The message loops run every iteration through these reductions, so each
 takes an optional ``out`` (and, where it needs scratch, ``work``) that the
@@ -66,33 +68,42 @@ class EnumPlan:
     """The satisfying assignments of every clause, built on the graph's
     clause blocks.
 
-    Per block of clauses of length L (``FactorGraph._clause_blocks``),
-    ``slots`` holds an (L, c, K) array, K = 2^L - 1: the slot of position j
-    of clause i in its row k, as the offset ``2e + x`` of (incidence e,
-    value x) in a C-ordered (E, 2, ...) array. Row k is column k of
-    :func:`_row_pattern`: the satisfying slot where the pattern is 1, the
-    dissatisfying one where it is 0. Rows are ordered block by block, then
-    clause by clause, then row by row, so each block's rows are a (c, K)
-    run and every per-clause step is a reshape.
+    Per block of c clauses of length L (``FactorGraph._clause_blocks``),
+    ``unsat`` holds the (L, c) dissatisfying slots, the offset ``2e + x`` of
+    (incidence e, value x) in a C-ordered (E, 2, ...) array, so the plan
+    stores one integer per incidence. Each clause has K = 2^L - 1 rows, the
+    columns of :func:`_row_pattern`: row k takes position j's satisfying
+    slot, ``unsat[j] ^ 1``, where the pattern is 1 and its dissatisfying
+    one where it is 0, so a row's slots are built from the table when they
+    are used and never stored. Rows are ordered block by block, then clause
+    by clause, then row by row, so each block's rows are a (c, K) run and
+    every per-clause step is a reshape.
     """
 
-    slots: list[np.ndarray]
+    unsat: list[np.ndarray]
 
     @property
     def num_rows(self) -> int:
-        return sum(s[0].size for s in self.slots)
+        return sum(u.shape[1] * ((1 << len(u)) - 1) for u in self.unsat)
 
     def _blocks(self, rows: np.ndarray) -> list[np.ndarray]:
         """Views of per-row values ``rows``, shaped (c, K, ...) per block."""
-        ends = np.cumsum([s[0].size for s in self.slots], dtype=np.int64)
-        return [b.reshape(s.shape[1:] + rows.shape[1:]) for s, b in zip(self.slots, np.split(rows, ends))]
+        ends = np.cumsum([u.shape[1] * ((1 << len(u)) - 1) for u in self.unsat], dtype=np.int64)
+        return [b.reshape((u.shape[1], -1) + rows.shape[1:]) for u, b in zip(self.unsat, np.split(rows, ends))]
 
     def row_sums(self, x: np.ndarray) -> np.ndarray:
-        """(R, ...) sums of (E, 2, ...) slot values ``x`` over each row."""
+        """(R, ...) sums of (E, 2, ...) slot values ``x`` over each row. Each
+        block gathers one position j at a time, the slots
+        ``unsat[j] ^ pattern[j]`` of every row, and adds the positions in
+        order, as a sum over the leading axis of all positions' gathers
+        would, so at most one position's gather is held."""
         slots = x.reshape((-1,) + x.shape[2:])
         out = np.empty((self.num_rows,) + x.shape[2:], x.dtype)
-        for s, block in zip(self.slots, self._blocks(out)):
-            np.sum(np.take(slots, s, axis=0), axis=0, out=block)
+        for u, block in zip(self.unsat, self._blocks(out)):
+            pattern = _row_pattern(len(u))
+            np.take(slots, u[0][:, None] ^ pattern[0], axis=0, out=block, mode="clip")
+            for j in range(1, len(u)):
+                block += np.take(slots, u[j][:, None] ^ pattern[j], axis=0)
         return out
 
     def scatter_rows(self, g: np.ndarray, num_incidences: int) -> np.ndarray:
@@ -101,11 +112,10 @@ class EnumPlan:
         the dissatisfying one through its complement; each slot is one
         position of one block, so plain assignment scatters."""
         out = np.zeros((2 * num_incidences,) + g.shape[1:], g.dtype)
-        for s, block in zip(self.slots, self._blocks(g)):
-            sat = _row_pattern(len(s)).astype(g.dtype)
-            sat_slot = s[:, :, -1].T  # (c, L), from the all-satisfying last row
-            out[sat_slot] = np.einsum("jk,ck...->cj...", sat, block)
-            out[sat_slot ^ 1] = np.einsum("jk,ck...->cj...", 1 - sat, block)
+        for u, block in zip(self.unsat, self._blocks(g)):
+            sat = _row_pattern(len(u)).astype(g.dtype)
+            out[u.T ^ 1] = np.einsum("jk,ck...->cj...", sat, block)
+            out[u.T] = np.einsum("jk,ck...->cj...", 1 - sat, block)
         return out.reshape((num_incidences, 2) + g.shape[1:])
 
     def _per_clause(self, rows: np.ndarray, reduce) -> np.ndarray:
@@ -197,6 +207,12 @@ class FactorGraph:
         return [starts[lens == L] + np.arange(L)[:, None] for L in np.unique(lens)]
 
     @cached_property
+    def _unsat_blocks(self) -> list[np.ndarray]:
+        """Per block of ``_clause_blocks``, the (L, clauses) dissatisfying
+        slots ``unsat_slot`` of its incidences."""
+        return [np.take(self.unsat_slot, block) for block in self._clause_blocks]
+
+    @cached_property
     def _clause_others(self) -> list[np.ndarray]:
         """Per block of ``_clause_blocks``, the all-but-self matrix 1 - I_L."""
         return [1 - np.eye(len(slots)) for slots in self._clause_blocks]
@@ -253,23 +269,19 @@ class FactorGraph:
         """Enumeration plan over satisfying clause assignments: a clause of
         length L has the 2^L - 1 rows of :func:`_row_pattern`, whatever its
         polarities. Raises on clauses longer than ``cap`` (2^L blowup
-        guard), on every call: the plan does not depend on the cap, so a
-        graph builds it once and every call that passes the guard returns
-        that one plan.
+        guard), on every call: the plan does not depend on the cap and
+        holds only the graph's per-block dissatisfying slots
+        (``_unsat_blocks``), so every call that passes the guard returns one
+        plan per graph.
         """
         lens = self.clause_len
         if len(lens) and int(lens.max()) > cap:
-            raise ValueError(
-                f"clause length {int(lens.max())} exceeds enumeration cap {cap}"
-            )
+            raise ValueError(f"clause length {int(lens.max())} exceeds enumeration cap {cap}")
         return self._enum_plan
 
     @cached_property
     def _enum_plan(self) -> EnumPlan:
-        # a position's dissatisfying slot, flipped to the satisfying one where
-        # the row's pattern sets it
-        return EnumPlan([np.take(self.unsat_slot, block)[:, :, None] ^ _row_pattern(len(block))[:, None, :]
-                         for block in self._clause_blocks])
+        return EnumPlan(self._unsat_blocks)
 
 
 def build_factor_graph(formula: CnfFormula) -> FactorGraph:

@@ -15,7 +15,7 @@ import numpy as np
 
 from nsnet import bp, gen, oracle
 from nsnet.cnf import CnfFormula
-from nsnet.graph import FactorGraph, bethe_sum, log1mexp
+from nsnet.graph import FactorGraph, _row_pattern, bethe_sum, log1mexp
 
 # the running example: (x1 or not x2) and (x1 or x3) and (not x1 or x2 or x3)
 F0 = CnfFormula(3, ((1, -2), (1, 3), (-1, 2, 3)))
@@ -314,6 +314,24 @@ def looped_enumeration(graph, cap):
         "flat_index": flat_index,
     }
     return {"num_rows": r, **{k: np.asarray(v, dtype=np.int64) for k, v in fields.items()}}
+
+
+def plan_slots(plan):
+    """Per block of ``plan``, the (L, c, K) table of every row's slots: the
+    slot of position j of clause i in its row k, the dissatisfying slot
+    flipped to the satisfying one where ``_row_pattern(L)`` sets it. The
+    plan stores only the (L, c) dissatisfying slots and builds rows on use."""
+    return [u[:, :, None] ^ _row_pattern(len(u))[:, None, :] for u in plan.unsat]
+
+
+def materialized_row_sums(plan, x):
+    """``plan.row_sums(x)`` from the full row table of :func:`plan_slots`:
+    one gather of every row's positions, summed over the positions."""
+    slots = x.reshape((-1,) + x.shape[2:])
+    return np.concatenate(
+        [np.sum(np.take(slots, s, axis=0), axis=0).reshape((-1,) + x.shape[2:]) for s in plan_slots(plan)]
+        or [np.empty((0,) + x.shape[2:], x.dtype)]
+    )
 
 
 # ------------------------------------------------------------ MLP reference

@@ -217,7 +217,7 @@ def factor_beliefs(graph, params, T):
     (clauses, rows) in order, regrouped by clause."""
     tape = net._forward(graph, params, T, want_count=True, keep_tape=False)
     beliefs, r = [None] * graph.num_clauses, 0
-    for slots in tape.plan.slots:
+    for slots in helpers.plan_slots(tape.plan):
         _, c, K = slots.shape
         for i, a in enumerate(graph.inc_clause[slots[0, :, 0] // 2]):
             beliefs[a] = tape.lbf[r + i * K: r + (i + 1) * K]
