@@ -86,7 +86,7 @@ def _read_label(path: str, task: str, num_vars: int) -> np.ndarray | float | Non
     variables 1..``num_vars`` as an array, the ln count as a float, or None
     for the null label of an unsatisfiable formula. Raises, naming the file,
     when the file lacks the label or it is not finite probabilities or a
-    finite ln count >= 0."""
+    finite ln count >= 0; a JSON boolean is not a number here."""
     key = _LABEL_KEY[task]
     try:
         with open(path) as fh:
@@ -96,11 +96,14 @@ def _read_label(path: str, task: str, num_vars: int) -> np.ndarray | float | Non
         label = doc[key]
         if label is None:
             return None
+        values = [label] if task == "counting" else [label[str(v)] for v in range(1, num_vars + 1)]
+        if any(isinstance(x, bool) for x in values):  # float(true) is 1.0
+            raise ValueError(f"{key} label holds a boolean, not a number")
         if task == "counting":
             if not (math.isfinite(label) and label >= 0):
                 raise ValueError(f"ln_count {label} is not a finite ln count >= 0")
             return float(label)
-        marginals = np.array([label[str(v)] for v in range(1, num_vars + 1)], dtype=float)
+        marginals = np.array(values, dtype=float)
         bad = np.flatnonzero(np.clip(marginals, 0, 1) != marginals)  # NaN != NaN
         if len(bad):
             raise ValueError(f"marginal of variable {bad[0] + 1} is {marginals[bad[0]]}, not in [0, 1]")
@@ -284,6 +287,10 @@ def cmd_train(args) -> int:
     )
     train_set, val_set, _ = train.split_dataset(instances, (0.8, 0.2, 0.0), args.seed)
     params, history = train.train_loop(train_set, val_set, config)
+    if config.epochs and not history:
+        # train_loop's warning names the instance and the step; the weights
+        # it returns are at most part of an epoch, never validated
+        raise RuntimeError(f"training loss non-finite before epoch 1 ended; {args.out} not written")
     net.save_params(params, args.out)
     if args.history:
         with open(args.history, "w", newline="") as fh:

@@ -763,7 +763,8 @@ def load_params(path) -> ModelParams:
     version ``PARAMS_FORMAT_VERSION``; ``d``; ``h1`` and ``h2`` of d values;
     and per network of ``NETS`` the kind ``"mlp"`` and
     ``N_HIDDEN_LAYERS`` + 1 layers, the hidden ones all ``hidden`` wide
-    (the rows of A1's first layer). Each layer's ``rows`` and ``cols`` must
+    (the rows of A1's first layer). The version and ``d`` are JSON
+    integers. Each layer's ``rows`` and ``cols`` must
     be its weight's shape in that layout, and every array must hold exactly
     its number of numbers (JSON's NaN and Infinity among them). Anything
     else raises :class:`ParamsFormatError`, which names the array or
@@ -774,13 +775,17 @@ def load_params(path) -> ModelParams:
         with open(path) as fh:
             text = fh.read()
         doc = json.loads(text)
+        for where in ("version", "d"):
+            # int() would read true as 1, "3" as 3 and truncate 2.9 to 2
+            if type(doc[where]) is not int:
+                raise ParamsFormatError(f"{where} {doc[where]!r} is not an integer")
         if doc["version"] != PARAMS_FORMAT_VERSION:
             raise ParamsFormatError(f"unsupported weight file version {doc['version']!r}")
         for where in NETS:
             if doc[where]["kind"] != "mlp":
                 raise ParamsFormatError(f"{where}: unknown network kind {doc[where]['kind']!r}")
         where = "a1.w0"
-        d, hidden = int(doc["d"]), int(doc["a1"]["layers"][0]["rows"])
+        d, hidden = doc["d"], int(doc["a1"]["layers"][0]["rows"])
         # h1 and A1's first two layers hold (hidden + 1) * (hidden + d) values,
         # each at least two characters of the file: refuse a layout the file
         # cannot fill before allocating it

@@ -422,6 +422,24 @@ class TestStrictJson:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
+    def test_training_diverged_in_its_first_epoch_writes_nothing(self, tmp_path, capsys, caplog):
+        # a huge learning rate turns the loss non-finite at step 2, before the
+        # first epoch ends: there are no trained weights to save
+        data, labels = tmp_path / "data", tmp_path / "labels"
+        assert run_cli(capsys, ["gen", "--dist", "sr", "--count", "6", "--num-vars", "8-12",
+                                "--seed", "5", "--out", data])[0] == cli.EXIT_OK
+        assert run_cli(capsys, ["label", "--data", data, "--task", "counting", "--out", labels])[0] == 0
+        weights, history = tmp_path / "w.json", tmp_path / "h.csv"
+        code, out = run_cli(capsys, ["train", "--data", data, "--labels", labels, "--task", "counting",
+                                     "--d", "4", "--iters", "2", "--epochs", "1", "--batch-size", "1",
+                                     "--lr", "1e12", "--out", weights, "--history", history])
+        assert (code, out) == (cli.EXIT_RUNTIME, "")
+        assert "at step 2; training stops" in caplog.text
+        assert f"training loss non-finite before epoch 1 ended; {weights} not written" in caplog.text
+        assert not weights.exists() and not history.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
     def test_diverged_estimate_is_a_failed_row(self, tmp_path, capsys):
         data = write_dataset(tmp_path, sr_formulas(3))
         labels = tmp_path / "labels"
@@ -449,6 +467,8 @@ class TestStrictJson:
     ("counting", {"ln_count": float("nan")}, "ln_count nan is not a finite ln count >= 0"),
     ("counting", {"ln_count": -0.5}, "ln_count -0.5 is not a finite ln count >= 0"),
     ("counting", {"marginals": None}, "no ln_count label"),
+    ("counting", {"ln_count": True}, "ln_count label holds a boolean, not a number"),
+    ("marginals", {"marginals": {"1": 0.9, "2": False, "3": 0.1}}, "marginals label holds a boolean, not a number"),
 ])
 def test_corrupt_label_is_refused(tmp_path, capsys, caplog, task, doc, message):
     data = write_dataset(tmp_path, [helpers.F0])
