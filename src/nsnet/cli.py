@@ -86,7 +86,7 @@ def _read_label(path: str, task: str, num_vars: int) -> np.ndarray | float | Non
     variables 1..``num_vars`` as an array, the ln count as a float, or None
     for the null label of an unsatisfiable formula. Raises, naming the file,
     when the file lacks the label or it is not finite probabilities or a
-    finite ln count >= 0; a JSON boolean is not a number here."""
+    finite ln count >= 0; a JSON boolean or string is not a number here."""
     key = _LABEL_KEY[task]
     try:
         with open(path) as fh:
@@ -97,8 +97,8 @@ def _read_label(path: str, task: str, num_vars: int) -> np.ndarray | float | Non
         if label is None:
             return None
         values = [label] if task == "counting" else [label[str(v)] for v in range(1, num_vars + 1)]
-        if any(isinstance(x, bool) for x in values):  # float(true) is 1.0
-            raise ValueError(f"{key} label holds a boolean, not a number")
+        if any(type(x) not in (int, float) for x in values):  # float() reads true and "0.5"
+            raise ValueError(f"{key} label holds a value that is not a JSON number")
         if task == "counting":
             if not (math.isfinite(label) and label >= 0):
                 raise ValueError(f"ln_count {label} is not a finite ln count >= 0")

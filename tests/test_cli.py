@@ -467,8 +467,11 @@ class TestStrictJson:
     ("counting", {"ln_count": float("nan")}, "ln_count nan is not a finite ln count >= 0"),
     ("counting", {"ln_count": -0.5}, "ln_count -0.5 is not a finite ln count >= 0"),
     ("counting", {"marginals": None}, "no ln_count label"),
-    ("counting", {"ln_count": True}, "ln_count label holds a boolean, not a number"),
-    ("marginals", {"marginals": {"1": 0.9, "2": False, "3": 0.1}}, "marginals label holds a boolean, not a number"),
+    ("counting", {"ln_count": True}, "ln_count label holds a value that is not a JSON number"),
+    ("marginals", {"marginals": {"1": 0.9, "2": False, "3": 0.1}},
+     "marginals label holds a value that is not a JSON number"),
+    ("marginals", {"marginals": {"1": 0.9, "2": "0.5", "3": 0.1}},
+     "marginals label holds a value that is not a JSON number"),
 ])
 def test_corrupt_label_is_refused(tmp_path, capsys, caplog, task, doc, message):
     data = write_dataset(tmp_path, [helpers.F0])
