@@ -328,10 +328,8 @@ def materialized_row_sums(plan, x):
     """``plan.row_sums(x)`` from the full row table of :func:`plan_slots`:
     one gather of every row's positions, summed over the positions."""
     slots = x.reshape((-1,) + x.shape[2:])
-    return np.concatenate(
-        [np.sum(np.take(slots, s, axis=0), axis=0).reshape((-1,) + x.shape[2:]) for s in plan_slots(plan)]
-        or [np.empty((0,) + x.shape[2:], x.dtype)]
-    )
+    return np.concatenate([np.sum(np.take(slots, s, axis=0), axis=0).reshape((-1,) + x.shape[2:])
+                           for s in plan_slots(plan)])
 
 
 # ------------------------------------------------------------ MLP reference
