@@ -9,14 +9,16 @@ checkout, the parent first on odd seeds and the change first on even ones,
 each in a fresh process from the checkout's own directory. The results go
 to ``--out`` as ``{"what", "machine", "python", "numpy", "runs"}``, one run
 per record (``workload``, ``side``, ``seed``, ``correct``, ``failed``, the
-metrics, and ``minflt``, the minor page faults of the run's process), in
+metrics, ``minflt``, the minor page faults of the run's process, and
+``cpu_s``, its user plus system CPU seconds over all of its threads), in
 the order they were made; ``--append`` adds to the runs
 already in the file. With ``--trace 1`` the per-layer metrics are recorded,
 under ``traced`` instead of ``runs``.
 
 It then prints, per workload and metric, each side's median and quartiles
 over the recorded pairs and the number of pairs the change wins, and each
-side's median ``minflt``. A claimed
+side's median ``minflt`` and ``cpu_s``: a run that spreads its work over
+more cores shows the CPU time it spends beside its wall-clock rate. A claimed
 gain needs the change to win at least 9 of 10 pairs, and its median to be
 better than the parent's by more than the parent's interquartile range.
 """
@@ -44,12 +46,14 @@ def parse_seeds(text: str) -> list[int]:
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark process in ``checkout``: its result line, its info line,
-    and its minor page faults."""
+    its minor page faults and its CPU seconds (user + system)."""
     argv = [sys.executable, "nsbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    minflt = after.ru_minflt - before.ru_minflt
+    cpu_s = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}: "
@@ -57,7 +61,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     info, result = json.loads(lines[-2])["info"], json.loads(lines[-1])
     if proc.stderr.strip():
         print(f"  {checkout.name} seed {seed}: {proc.stderr.strip()}", file=sys.stderr)
-    return {"info": info, "result": result, "minflt": minflt}
+    return {"info": info, "result": result, "minflt": minflt, "cpu_s": cpu_s}
 
 
 def record(workload: str, side: str, seed: int, out: dict) -> dict:
@@ -66,6 +70,7 @@ def record(workload: str, side: str, seed: int, out: dict) -> dict:
            "correct": result["correct"], "failed": result["failed"]}
     rec.update({k: round(m["value"], 4) for k, m in result["metrics"].items()})
     rec["minflt"] = out["minflt"]
+    rec["cpu_s"] = round(out["cpu_s"], 2)
     return rec
 
 
@@ -99,11 +104,12 @@ def summarize(runs: list[dict], better: dict[str, str]) -> None:
             print(f"  {metric:22s} parent {pm:10.4g} ({p1:.4g}-{p3:.4g})  "
                   f"change {cm:10.4g} ({c1:.4g}-{c3:.4g})  "
                   f"change wins {wins}/{len(seeds)}, median gap beyond parent IQR: {clear}")
-        faults = {side: [sides[side][s]["minflt"] for s in seeds if "minflt" in sides[side][s]]
-                  for side in sides}
-        if all(faults.values()):
-            print(f"  {'minflt':22s} parent {statistics.median(faults['parent']):10.4g}  "
-                  f"change {statistics.median(faults['change']):10.4g}")
+        for field in ("minflt", "cpu_s"):
+            values = {side: [sides[side][s][field] for s in seeds if field in sides[side][s]]
+                      for side in sides}
+            if all(values.values()):
+                print(f"  {field:22s} parent {statistics.median(values['parent']):10.4g}  "
+                      f"change {statistics.median(values['change']):10.4g}")
 
 
 def main(argv=None) -> int:

@@ -35,12 +35,15 @@ and the intermediates of the satisfying-completion LSE, about 10 values per
 incidence and embedding coordinate, in arrays that are fresh each
 iteration; only the temporaries it does not keep are reused. No buffer
 outlives its call or is cached on the graph or in the module, so nothing a
-call returns shares memory with a later call. The backward pass recomputes
-each MLP's hidden layers from its input (activation recomputation, as in
-Chen et al., *Training Deep Nets with Sublinear Memory Cost*), so the tape
-holds no (2E, hidden) activations, and writes its own loop into arrays
-allocated once per call (:func:`_backward_arena`). Both paths run the same
-arithmetic and give bit-identical outputs.
+call returns shares memory with a later call, and calls on several threads
+write to no array in common: ``train`` runs a batch's formulas on one
+thread per core, with one set of parameters that every call only reads.
+The backward pass recomputes each MLP's hidden layers from its input
+(activation recomputation, as in Chen et al., *Training Deep Nets with
+Sublinear Memory Cost*), so the tape holds no (2E, hidden) activations, and
+writes its own loop into arrays allocated once per call
+(:func:`_backward_arena`). Both paths run the same arithmetic and give
+bit-identical outputs.
 
 The MLPs of the loop, and every MLP's backward, are cache-blocked (as in
 Goto and van de Geijn, *Anatomy of High-Performance Matrix
@@ -574,8 +577,9 @@ def forward(
     and peak memory does not grow with T. The readouts then allocate their
     own arrays and run unblocked, since their 64->1 output layer rounds
     differently on fewer rows; none of the loop's arrays is returned.
-    Training runs the same forward with a tape, one formula at a time
-    (``train.grad``), and gets these numbers bit for bit.
+    Training runs the same forward with a tape, one formula at a time on
+    each of its threads (``train.grad``), and gets these numbers bit for
+    bit.
     """
     tape = _forward(graph, params, T, want_count=with_count, keep_tape=False)
     ln_z = float(tape.ln_z) if with_count else None
@@ -763,8 +767,8 @@ def load_params(path) -> ModelParams:
     version ``PARAMS_FORMAT_VERSION``; ``d``; ``h1`` and ``h2`` of d values;
     and per network of ``NETS`` the kind ``"mlp"`` and
     ``N_HIDDEN_LAYERS`` + 1 layers, the hidden ones all ``hidden`` wide
-    (the rows of A1's first layer). The version and ``d`` are JSON
-    integers. Each layer's ``rows`` and ``cols`` must
+    (the rows of A1's first layer). The version, ``d`` and each layer's
+    ``rows`` and ``cols`` are JSON integers, and ``rows`` and ``cols`` must
     be its weight's shape in that layout, and every array must hold exactly
     its number of numbers (JSON's NaN and Infinity among them). Anything
     else raises :class:`ParamsFormatError`, which names the array or
@@ -784,8 +788,13 @@ def load_params(path) -> ModelParams:
         for where in NETS:
             if doc[where]["kind"] != "mlp":
                 raise ParamsFormatError(f"{where}: unknown network kind {doc[where]['kind']!r}")
+            for i, layer in enumerate(doc[where]["layers"]):
+                for key in ("rows", "cols"):
+                    # == would pass 8.0 for 8, and true for a width of 1
+                    if type(layer[key]) is not int:
+                        raise ParamsFormatError(f"{where}.w{i}: {key} {layer[key]!r} is not an integer")
         where = "a1.w0"
-        d, hidden = doc["d"], int(doc["a1"]["layers"][0]["rows"])
+        d, hidden = doc["d"], doc["a1"]["layers"][0]["rows"]
         # h1 and A1's first two layers hold (hidden + 1) * (hidden + d) values,
         # each at least two characters of the file: refuse a layout the file
         # cannot fill before allocating it

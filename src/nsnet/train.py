@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,17 +124,98 @@ def _loss(inst: LabeledInstance, tape: net._Tape, config: TrainConfig) -> tuple:
     return diff ** 2, 2.0 * diff
 
 
+def _workers(count: int) -> int:
+    """Threads for a batch of ``count`` formulas: one per core this process
+    may run on, at most one per formula."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(count, cores)
+
+
+def _each_formula(batch: list[LabeledInstance], run, add) -> None:
+    """``add(run(i))`` for every index i of ``batch``, the adds in index
+    order.
+
+    With more than one worker (:func:`_workers`), the calling thread and
+    helper threads take indices from one counter. Every graph is built here
+    first, so no two threads build or cache one formula's graph, even when
+    the batch holds an instance twice. A finished result is stored at its
+    index, and under the lock every stored result from the next index to
+    add onwards is added and dropped. The adds follow batch order whatever
+    order the formulas finish in, and only results that finished ahead of
+    an earlier formula are held. A failure stops the taking of new indices;
+    every lower index was taken before it and runs to completion, so the
+    exception raised is the lowest-index one, the one a single thread
+    raises. The helpers are joined before this returns or raises.
+    """
+    workers = _workers(len(batch))
+    if workers <= 1:
+        for i in range(len(batch)):
+            add(run(i))
+        return
+    for inst in batch:
+        try:
+            inst.factor_graph()
+        except ValueError:
+            pass  # nothing is cached; raised again, in batch order, when its formula runs
+    lock = threading.Lock()
+    stop = threading.Event()
+    indices = iter(range(len(batch)))
+    results: dict[int, object] = {}
+    errors: dict[int, Exception] = {}
+    added = 0
+
+    def work() -> None:
+        nonlocal added
+        while True:
+            with lock:
+                i = None if stop.is_set() else next(indices, None)
+            if i is None:
+                return
+            try:
+                result = run(i)
+            except Exception as exc:
+                with lock:
+                    errors[i] = exc
+                    stop.set()
+                return
+            with lock:
+                results[i] = result
+                while not errors and added in results:
+                    add(results.pop(added))
+                    added += 1
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        try:
+            work()
+        finally:
+            stop.set()  # on any exit of this thread, the helpers take no new index
+    for helper in helpers:
+        helper.result()
+    if errors:
+        raise errors[min(errors)]
+
+
 def batch_loss(
     batch: list[LabeledInstance], params: net.ModelParams, config: TrainConfig
 ) -> float:
     """Mean loss of a batch (no gradients).
 
-    Runs each formula's forward without a tape, as ``net.forward`` does, and
-    gives the value :func:`grad` reports for the same batch.
+    Runs each formula's forward without a tape, as ``net.forward`` does, on
+    the threads of a step (see the module docstring), and gives the value
+    :func:`grad` reports for the same batch: the losses are averaged in
+    batch order.
     """
-    return float(np.mean([
-        _loss(inst, _tape(inst, params, config, keep_tape=False), config)[0] for inst in batch
-    ]))
+    losses: list[float] = []
+    _each_formula(
+        batch,
+        lambda i: _loss(batch[i], _tape(batch[i], params, config, keep_tape=False), config)[0],
+        losses.append,
+    )
+    return float(np.mean(losses))
 
 
 def grad(
@@ -140,23 +224,34 @@ def grad(
     """Exact gradients of the mean batch loss for every parameter array: the
     sum over formulas of each one's backward pass, its output gradient
     divided by the batch size. A formula whose loss is not finite raises
-    :class:`NonFiniteLossError` before its backward pass."""
+    :class:`NonFiniteLossError` before its backward pass.
+
+    The formulas run on the threads of a step (see the module docstring),
+    each keeping one formula's tape at a time; their gradients and losses
+    are added in batch order, so the sums are the ones one thread would
+    make, bit for bit, and an error is the lowest-index formula's.
+    """
     grads = net.zero_grads(params)
     losses = []
-    for i, inst in enumerate(batch):
+
+    def run(i: int) -> tuple[dict[str, np.ndarray], float]:
+        inst = batch[i]
         tape = _tape(inst, params, config, keep_tape=True)
         loss, d_output = _loss(inst, tape, config)
         if not np.isfinite(loss):
             raise NonFiniteLossError(i)
         d_output = d_output / len(batch)
         if config.task == "marginals":
-            inst_grads = net.backward(tape, params, dlbv=d_output)
-        else:
-            inst_grads = net.backward(tape, params, dlnz=d_output)
-        del tape  # one formula's tape alive at a time
+            return net.backward(tape, params, dlbv=d_output), loss
+        return net.backward(tape, params, dlnz=d_output), loss
+
+    def add(result: tuple[dict[str, np.ndarray], float]) -> None:
+        inst_grads, loss = result
         for name, g in inst_grads.items():
             grads[name] += g
         losses.append(loss)
+
+    _each_formula(batch, run, add)
     return grads, float(np.mean(losses))
 
 
@@ -256,9 +351,10 @@ def train_loop(
     checkpoint (final parameters when there is no validation set).
 
     History rows are (epoch, train_loss, val_loss); val_loss is NaN without
-    a validation set. A non-finite training loss aborts the loop and the
-    last good parameters are returned. Deterministic for a fixed config and
-    seed.
+    a validation set. A non-finite training loss aborts the loop: it
+    returns the best-validation checkpoint, or, without a validation set or
+    before the first epoch has ended, the last good parameters (those of
+    the last step taken). Deterministic for a fixed config and seed.
     """
     for inst in train + val:
         if config.task == "marginals" and inst.marginals is None:
@@ -287,7 +383,7 @@ def train_loop(
                     "non-finite loss on training instance %d at step %d; training stops",
                     order[lo + exc.instance_index], steps + 1,
                 )
-                return (best_params if val else params), history
+                return (best_params if val and history else params), history
             params, state = adam_step(params, grads, state, config)
             epoch_loss += loss * len(batch)
             seen += len(batch)

@@ -83,6 +83,14 @@ MALFORMED = {
     "boolean version": ("version True is not an integer", lambda doc: _set(doc, "version", True)),
     "fractional d": ("d 3.5 is not an integer", lambda doc: _set(doc, "d", 3.5)),
     "string d": ("d '3' is not an integer", lambda doc: _set(doc, "d", "3")),
+    "fractional rows": ("a1.w1: rows 8.0 is not an integer",
+                        lambda doc: _set(doc["a1"]["layers"][1], "rows", 8.0)),
+    "boolean rows of width 1": ("r_var.w3: rows True is not an integer",
+                                lambda doc: _set(doc["r_var"]["layers"][3], "rows", True)),
+    "fractional hidden width": ("a1.w0: rows 8.0 is not an integer",
+                                lambda doc: _set(doc["a1"]["layers"][0], "rows", 8.0)),
+    "string cols": ("a3.w2: cols '8' is not an integer",
+                    lambda doc: _set(doc["a3"]["layers"][2], "cols", "8")),
 }
 
 

@@ -1,11 +1,14 @@
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import helpers
-from nsnet import cli, net, oracle
+from nsnet import cli, net, oracle, train
 from nsnet.cnf import CnfFormula
 from nsnet.graph import build_factor_graph
 from nsnet.train import (
@@ -225,9 +228,8 @@ class TestGrad:
         per_iter = (peak(10) - peak(2)) / 8
         assert per_iter <= 16 * E * 16 * params.h1.itemsize
 
-    def test_batch_peak_stays_near_one_formula(self):
-        # a step holds one formula's tape at a time, so a batch's traced
-        # peak is about its largest formula's, not the sum of their tapes
+    @staticmethod
+    def _peak_batch():
         rng = np.random.default_rng(6)
         batch = []
         while len(batch) < 8:
@@ -249,8 +251,122 @@ class TestGrad:
                 tracemalloc.stop()
 
         peak(batch[:1])  # first-call costs
+        return batch, peak
+
+    def test_batch_peak_stays_near_one_formula(self, monkeypatch):
+        # on one thread a step holds one formula's tape at a time, so a
+        # batch's traced peak is about its largest formula's, not the sum of
+        # their tapes
+        monkeypatch.setattr(train, "_workers", lambda count: 1)
+        batch, peak = self._peak_batch()
         largest = max(peak([inst]) for inst in batch)
         assert peak(batch) <= 1.5 * largest
+
+    def test_batch_peak_stays_near_one_formula_per_worker(self, monkeypatch):
+        # w threads hold at most w tapes, and the results that wait for an
+        # earlier formula are added as soon as it finishes, not at the end
+        workers = 2
+        monkeypatch.setattr(train, "_workers", lambda count: min(count, workers))
+        batch, peak = self._peak_batch()
+        singles = sorted(peak([inst]) for inst in batch)
+        assert peak(batch) <= 1.5 * sum(singles[-workers:])
+
+
+def _mixed_batch(seed: int = 8):
+    """Satisfiable formulas of several sizes with both labels; the second
+    one appears again at the end."""
+    rng = np.random.default_rng(seed)
+    batch = []
+    for n in (5, 12, 3, 9, 7):
+        while True:
+            f = helpers.random_formula(rng, n, 2 * n, min_len=2, max_len=5)
+            if oracle.satisfiable(f):
+                break
+        batch.append(labeled(f))
+    return batch + [batch[1]]
+
+
+class TestWorkers:
+    """A step's formulas run on several threads and give what one thread
+    gives, bit for bit, errors included."""
+
+    def _with_workers(self, monkeypatch, workers: int):
+        monkeypatch.setattr(train, "_workers", lambda count: min(count, workers))
+
+    def test_workers_follow_the_cpu_affinity(self):
+        cores = len(os.sched_getaffinity(0))
+        assert train._workers(16) == min(16, cores)
+        assert train._workers(1) == 1
+
+    @pytest.mark.parametrize("task", ["marginals", "counting"])
+    def test_threads_give_bit_identical_results(self, task, monkeypatch):
+        batch = _mixed_batch()
+        params = net.init_params(8, 2, hidden=16)
+        config = TrainConfig(task=task, d=8, T=4, hidden=16)
+        self._with_workers(monkeypatch, 1)
+        g1, l1 = grad(batch, params, config)
+        b1 = batch_loss(batch, params, config)
+        for workers in (2, 3):
+            self._with_workers(monkeypatch, workers)
+            before = threading.active_count()
+            g2, l2 = grad(batch, params, config)
+            b2 = batch_loss(batch, params, config)
+            assert threading.active_count() == before  # no helper outlives the call
+            assert l2 == l1 and b2 == b1
+            assert g2.keys() == g1.keys()
+            for name in g1:
+                assert np.array_equal(g1[name], g2[name]), (workers, name)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_index_nonfinite_loss_is_raised(self, workers, monkeypatch):
+        # with more than one thread, formula 1 holds its thread until formula
+        # 3 has failed on another, so the later failure is recorded first
+        good = labeled(CnfFormula(2, ((1, 2),)))
+        batch = [good, LabeledInstance(CnfFormula(3, ((1, 2), (-2, 3))), ln_count=float("nan")),
+                 good, LabeledInstance(CnfFormula(2, ((1, -2),)), ln_count=float("nan")), good]
+        config = TrainConfig(task="counting", d=4, T=2, hidden=16)
+        params = net.init_params(4, 0, hidden=16)
+        third_failed = threading.Event()
+        loss = train._loss
+
+        def ordered_loss(inst, tape, config):
+            if inst is batch[3]:
+                third_failed.set()
+            elif inst is batch[1] and workers > 1:
+                assert third_failed.wait(10)
+                time.sleep(0.05)  # formula 3 raises right after its loss
+            return loss(inst, tape, config)
+
+        monkeypatch.setattr(train, "_loss", ordered_loss)
+        self._with_workers(monkeypatch, workers)
+        before = threading.active_count()
+        with pytest.raises(NonFiniteLossError) as err:
+            grad(batch, params, config)
+        assert err.value.instance_index == 1
+        assert threading.active_count() == before
+        assert third_failed.is_set() == (workers > 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cap_first", [True, False])
+    def test_over_cap_clause_and_nonfinite_loss_keep_their_order(
+        self, cap_first, workers, monkeypatch
+    ):
+        good = labeled(CnfFormula(2, ((1, 2),)))
+        long_clause = LabeledInstance(CnfFormula(4, ((1, 2, 3, 4),)), ln_count=math.log(15))
+        nan = LabeledInstance(CnfFormula(2, ((1, -2),)), ln_count=float("nan"))
+        batch = [good, long_clause, good, nan] if cap_first else [good, nan, good, long_clause]
+        config = TrainConfig(task="counting", d=4, T=2, hidden=16, factor_cap=3)
+        params = net.init_params(4, 0, hidden=16)
+        self._with_workers(monkeypatch, workers)
+        if cap_first:
+            with pytest.raises(ValueError, match="exceeds enumeration cap 3"):
+                grad(batch, params, config)
+            with pytest.raises(ValueError, match="exceeds enumeration cap 3"):
+                batch_loss(batch, params, config)
+        else:
+            with pytest.raises(NonFiniteLossError) as err:
+                grad(batch, params, config)
+            assert err.value.instance_index == 1
 
 
 class TestAdam:
@@ -421,6 +537,25 @@ class TestTrainLoop:
         assert history == []
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "non-finite loss on training instance 2" in caplog.text
+
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_divergence_in_the_first_epoch_returns_the_last_good_parameters(self):
+        # no epoch was validated, so there is no checkpoint to return: the
+        # weights of the last step taken come back, as without a validation
+        # set, not the initial ones
+        corpus = self._corpus(8)
+        config = TrainConfig(task="counting", d=4, T=2, hidden=16, epochs=1, batch_size=1,
+                             learning_rate=1e12, seed=1)
+        with_val, history = train_loop(corpus[:6], corpus[6:], config)
+        without_val, history_without = train_loop(corpus[:6], [], config)
+        assert history == history_without == []
+        initial = net.init_params(4, 1, hidden=16)
+        assert any(not np.array_equal(a, b)
+                   for (_, a), (_, b) in zip(with_val.param_items(), initial.param_items()))
+        for (_, a), (_, b) in zip(with_val.param_items(), without_val.param_items()):
+            assert np.array_equal(a, b)
 
 
 class TestBatchLoss:
