@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,25 +175,28 @@ def _each_formula(batch: list[LabeledInstance], run, add) -> None:
                 return
             try:
                 result = run(i)
+                with lock:
+                    results[i] = result
+                    while not errors and added in results:
+                        add(results.pop(added))
+                        added += 1
             except Exception as exc:
                 with lock:
                     errors[i] = exc
                     stop.set()
                 return
-            with lock:
-                results[i] = result
-                while not errors and added in results:
-                    add(results.pop(added))
-                    added += 1
 
-    with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(work) for _ in range(workers - 1)]
-        try:
-            work()
-        finally:
-            stop.set()  # on any exit of this thread, the helpers take no new index
+    # plain threads: importing concurrent.futures here would load its
+    # modules, about 0.3 MB, into every process that imports nsnet
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
     for helper in helpers:
-        helper.result()
+        helper.start()
+    try:
+        work()
+    finally:
+        stop.set()  # on any exit of this thread, the helpers take no new index
+        for helper in helpers:
+            helper.join()
     if errors:
         raise errors[min(errors)]
 
