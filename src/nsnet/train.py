@@ -137,23 +137,19 @@ def _each_formula(batch: list[LabeledInstance], run, add) -> None:
     """``add(run(i))`` for every index i of ``batch``, the adds in index
     order.
 
-    With more than one worker (:func:`_workers`), the calling thread and
-    helper threads take indices from one counter. Every graph is built here
-    first, so no two threads build or cache one formula's graph, even when
-    the batch holds an instance twice. A finished result is stored at its
-    index, and under the lock every stored result from the next index to
-    add onwards is added and dropped. The adds follow batch order whatever
-    order the formulas finish in, and only results that finished ahead of
-    an earlier formula are held. A failure stops the taking of new indices;
-    every lower index was taken before it and runs to completion, so the
+    The calling thread and ``_workers(len(batch)) - 1`` helper threads take
+    indices from one counter; with one worker the calling thread runs the
+    batch alone, in order. Every graph is built here first, so no two
+    threads build or cache one formula's graph, even when the batch holds
+    an instance twice. A finished result is stored at its index, and under
+    the lock every stored result from the next index to add onwards is
+    added and dropped. The adds follow batch order whatever order the
+    formulas finish in, and only results that finished ahead of an earlier
+    formula are held. A failure stops the taking of new indices; every
+    lower index was taken before it and runs to completion, so the
     exception raised is the lowest-index one, the one a single thread
     raises. The helpers are joined before this returns or raises.
     """
-    workers = _workers(len(batch))
-    if workers <= 1:
-        for i in range(len(batch)):
-            add(run(i))
-        return
     for inst in batch:
         try:
             inst.factor_graph()
@@ -188,7 +184,7 @@ def _each_formula(batch: list[LabeledInstance], run, add) -> None:
 
     # plain threads: importing concurrent.futures here would load its
     # modules, about 0.3 MB, into every process that imports nsnet
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(_workers(len(batch)) - 1)]
     for helper in helpers:
         helper.start()
     try:
