@@ -85,8 +85,9 @@ def parse_dimacs(text: str | bytes) -> tuple[CnfFormula, list[str]]:
 
     Accepts `c` comment lines, a single ``p cnf <n> <m>`` header and
     whitespace-separated literals with ``0`` terminating each clause
-    (newlines inside clauses are fine). Lines starting with ``%`` are
-    ignored, as found in some published benchmark files.
+    (newlines inside clauses are fine). A line starting with ``%`` ends the
+    clause data: SATLIB files close with ``%`` and a stray ``0``, which is
+    not an empty clause.
 
     Returns ``(formula, warnings)``. A clause-count mismatch with the header
     and any normalization rewrites are warnings, not errors.
@@ -101,7 +102,9 @@ def parse_dimacs(text: str | bytes) -> tuple[CnfFormula, list[str]]:
 
     for raw_line in text.splitlines():
         line = raw_line.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if header is not None:

@@ -770,7 +770,8 @@ def load_params(path) -> ModelParams:
     (the rows of A1's first layer). The version, ``d`` and each layer's
     ``rows`` and ``cols`` are JSON integers, and ``rows`` and ``cols`` must
     be its weight's shape in that layout, and every array must hold exactly
-    its number of numbers (JSON's NaN and Infinity among them). Anything
+    its number of JSON numbers (NaN and Infinity among them; not ``true``
+    or ``false``). Anything
     else raises :class:`ParamsFormatError`, which names the array or
     network at fault.
     """
@@ -810,7 +811,11 @@ def load_params(path) -> ModelParams:
                     raise ParamsFormatError(f"{where}.w{i}: declared {layer['rows']}x{layer['cols']}, "
                                             f"expected {w.shape[0]}x{w.shape[1]}")
         for where, arr in params.param_items():
-            values = np.array(_values(doc, where))
+            raw = _values(doc, where)
+            for x in raw:
+                if type(x) not in (int, float):  # np.array would read true as 1.0
+                    raise ParamsFormatError(f"{where}: holds {json.dumps(x)}, not a JSON number")
+            values = np.array(raw)
             if values.dtype.kind not in "fi" or values.shape != (arr.size,):
                 raise ParamsFormatError(f"{where}: {values.size} values of dtype {values.dtype}, "
                                         f"expected {arr.size} numbers")

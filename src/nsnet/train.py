@@ -4,9 +4,12 @@ Gradients are exact reverse-mode derivatives through the unrolled message
 passing (see ``net.backward``); central finite differences are the
 correctness authority in the test suite. A batch's loss is the mean of its
 formulas' losses, so its gradient is the sum of each formula's own backward
-pass. A step runs the forward and backward on one formula at a time, on the
-factor graph and enumeration plan that formula caches, so it holds one
-formula's tape at a time and builds no graph of the batch.
+pass. A step runs each formula's forward and backward on the factor graph
+and enumeration plan that formula caches, and builds no graph of the batch.
+The formulas run on a thread pool, one thread per core the process may run
+on (at most one per formula), and the results are added in batch order, so
+a step holds one tape per thread and gives what one thread gives, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,101 +135,59 @@ def _workers(count: int) -> int:
     return min(count, cores)
 
 
-def _each_formula(batch: list[LabeledInstance], run, add) -> None:
-    """``add(run(i))`` for every index i of ``batch``, the adds in index
-    order.
+def _each_formula(batch: list[LabeledInstance], run):
+    """``run(i)`` for every index i of ``batch``, yielded in index order.
 
-    The calling thread and ``_workers(len(batch)) - 1`` helper threads take
-    indices from one counter; with one worker the calling thread runs the
-    batch alone, in order. Every graph is built here first, so no two
-    threads build or cache one formula's graph, even when the batch holds
-    an instance twice. A finished result is stored at its index, and under
-    the lock every stored result from the next index to add onwards is
-    added and dropped. The adds follow batch order whatever order the
-    formulas finish in, and only results that finished ahead of an earlier
-    formula are held. A failure stops the taking of new indices; every
-    lower index was taken before it and runs to completion, so the
-    exception raised is the lowest-index one, the one a single thread
-    raises. The helpers are joined before this returns or raises.
+    The formulas run on a thread pool of ``_workers(len(batch))`` threads
+    while the calling thread takes the results in turn, so a result is held
+    only until every earlier one has been taken. Every graph is built here
+    first, so no two threads build or cache one formula's graph, even when
+    the batch holds an instance twice. The first failure in index order is
+    raised, as one thread would raise it, and the formulas not yet started
+    are cancelled; the pool's threads are joined before this returns or
+    raises. ``concurrent.futures`` is imported here, so that importing
+    nsnet does not load it.
     """
+    if not batch:
+        raise ValueError("empty batch: a mean loss needs at least one formula")
     for inst in batch:
         try:
             inst.factor_graph()
         except ValueError:
             pass  # nothing is cached; raised again, in batch order, when its formula runs
-    lock = threading.Lock()
-    stop = threading.Event()
-    indices = iter(range(len(batch)))
-    results: dict[int, object] = {}
-    errors: dict[int, Exception] = {}
-    added = 0
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work() -> None:
-        nonlocal added
-        while True:
-            with lock:
-                i = None if stop.is_set() else next(indices, None)
-            if i is None:
-                return
-            try:
-                result = run(i)
-                with lock:
-                    results[i] = result
-                    while not errors and added in results:
-                        add(results.pop(added))
-                        added += 1
-            except Exception as exc:
-                with lock:
-                    errors[i] = exc
-                    stop.set()
-                return
-
-    # plain threads: importing concurrent.futures here would load its
-    # modules, about 0.3 MB, into every process that imports nsnet
-    helpers = [threading.Thread(target=work) for _ in range(_workers(len(batch)) - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()
-    finally:
-        stop.set()  # on any exit of this thread, the helpers take no new index
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
+    with ThreadPoolExecutor(_workers(len(batch))) as pool:
+        yield from pool.map(run, range(len(batch)))
 
 
 def batch_loss(
     batch: list[LabeledInstance], params: net.ModelParams, config: TrainConfig
 ) -> float:
-    """Mean loss of a batch (no gradients).
+    """Mean loss of a non-empty batch (no gradients).
 
     Runs each formula's forward without a tape, as ``net.forward`` does, on
-    the threads of a step (see the module docstring), and gives the value
-    :func:`grad` reports for the same batch: the losses are averaged in
-    batch order.
+    the thread pool of a step (see the module docstring), and gives the
+    value :func:`grad` reports for the same batch: the losses are averaged
+    in batch order.
     """
-    losses: list[float] = []
-    _each_formula(
-        batch,
-        lambda i: _loss(batch[i], _tape(batch[i], params, config, keep_tape=False), config)[0],
-        losses.append,
-    )
-    return float(np.mean(losses))
+    run = lambda i: _loss(batch[i], _tape(batch[i], params, config, keep_tape=False), config)[0]
+    return float(np.mean(list(_each_formula(batch, run))))
 
 
 def grad(
     batch: list[LabeledInstance], params: net.ModelParams, config: TrainConfig
 ) -> tuple[dict[str, np.ndarray], float]:
-    """Exact gradients of the mean batch loss for every parameter array: the
-    sum over formulas of each one's backward pass, its output gradient
-    divided by the batch size. A formula whose loss is not finite raises
-    :class:`NonFiniteLossError` before its backward pass.
+    """Exact gradients of the mean loss of a non-empty batch for every
+    parameter array: the sum over formulas of each one's backward pass, its
+    output gradient divided by the batch size. A formula whose loss is not
+    finite raises :class:`NonFiniteLossError` before its backward pass.
 
-    The formulas run on the threads of a step (see the module docstring),
-    each keeping one formula's tape at a time; their gradients and losses
-    are added in batch order, so the sums are the ones one thread would
-    make, bit for bit, and an error is the lowest-index formula's.
+    The formulas run on the thread pool of a step (see the module
+    docstring), each worker holding one formula's tape at a time; their
+    gradients and losses are added in batch order, so the sums are the ones
+    one thread would make, bit for bit, and an error is the lowest-index
+    formula's.
     """
     grads = net.zero_grads(params)
     losses = []
@@ -243,13 +203,10 @@ def grad(
             return net.backward(tape, params, dlbv=d_output), loss
         return net.backward(tape, params, dlnz=d_output), loss
 
-    def add(result: tuple[dict[str, np.ndarray], float]) -> None:
-        inst_grads, loss = result
+    for inst_grads, loss in _each_formula(batch, run):
         for name, g in inst_grads.items():
             grads[name] += g
         losses.append(loss)
-
-    _each_formula(batch, run, add)
     return grads, float(np.mean(losses))
 
 

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nsnet
@@ -31,3 +34,13 @@ def test_every_export_has_a_caller():
     sources += sorted((ROOT / "nsbench").glob("*.py"))
     used = set().union(*map(_references, sources))
     assert [name for name in nsnet.__all__ if name not in used] == []
+
+
+def test_import_loads_no_thread_pool():
+    """Training imports ``concurrent.futures`` when it first runs a batch,
+    so a process that imports nsnet and never trains does not load it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nsnet.__file__).resolve().parent.parent))
+    code = "import sys, nsnet; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

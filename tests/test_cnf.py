@@ -10,6 +10,7 @@ from nsnet.cnf import (
     normalize,
     parse_dimacs,
 )
+from nsnet.oracle import satisfiable
 
 F0_TEXT = "p cnf 3 3\n1 -2 0\n1 3 0\n-1 2 3 0\n"
 
@@ -57,6 +58,13 @@ class TestParse:
         formula, _ = parse_dimacs("p cnf 2 1\n1 2 0\n%\n")
         assert formula.num_clauses == 1
 
+    def test_satlib_trailer_adds_no_empty_clause(self):
+        # SATLIB's uf/uuf files end with "%" and then a lone "0"
+        formula, warnings = parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n")
+        assert formula.clauses == ((1, -2, 3), (-1, 2))
+        assert warnings == []
+        assert satisfiable(formula)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -67,6 +75,7 @@ class TestParse:
             "p cnf 2 1\n1 2\n",  # unterminated final clause
             "p cnf 2 1\n1 2 0\np cnf 2 1\n",  # duplicate header
             "",  # missing header entirely
+            "p cnf 3 2\n1 -2 3 0\n-1 2\n%\n0\n",  # clause left open at the % trailer
         ],
     )
     def test_errors(self, text):

@@ -80,6 +80,8 @@ MALFORMED = {
     "non-numeric value": ("r_var.w0", lambda doc: _set(doc["r_var"]["layers"][0]["w"], 3, "x")),
     "null value": ("a1.b1", lambda doc: _set(doc["a1"]["layers"][1]["b"], 2, None)),
     "nested value": ("h2", lambda doc: _set(doc["h2"], 0, [0.5, 0.5])),
+    "boolean value": ("a1.w0: holds true, not a JSON number",
+                      lambda doc: _set(doc["a1"]["layers"][0]["w"], 0, True)),
     "boolean version": ("version True is not an integer", lambda doc: _set(doc, "version", True)),
     "fractional d": ("d 3.5 is not an integer", lambda doc: _set(doc, "d", 3.5)),
     "string d": ("d '3' is not an integer", lambda doc: _set(doc, "d", "3")),

@@ -162,6 +162,12 @@ class TestGrad:
         for name in g1:
             assert np.allclose(g1[name], g2[name], atol=1e-13)
 
+    @pytest.mark.parametrize("step", [grad, batch_loss])
+    def test_empty_batch_is_refused(self, step):
+        config = TrainConfig(task="counting", d=4, T=2, hidden=16)
+        with pytest.raises(ValueError, match="empty batch"):
+            step([], net.init_params(4, 0, hidden=16), config)
+
     def test_nonfinite_loss_reports_instance(self):
         good = labeled(CnfFormula(2, ((1, 2),)))
         bad = LabeledInstance(CnfFormula(2, ((1, 2),)), ln_count=float("nan"))
