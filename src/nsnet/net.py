@@ -771,9 +771,8 @@ def load_params(path) -> ModelParams:
     ``rows`` and ``cols`` are JSON integers, and ``rows`` and ``cols`` must
     be its weight's shape in that layout, and every array must hold exactly
     its number of JSON numbers (NaN and Infinity among them; not ``true``
-    or ``false``). Anything
-    else raises :class:`ParamsFormatError`, which names the array or
-    network at fault.
+    or ``false``). Anything else raises :class:`ParamsFormatError`, which
+    names the array or network at fault.
     """
     where = "document"
     try:
